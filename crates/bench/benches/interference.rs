@@ -1,14 +1,13 @@
-//! Micro-benchmarks of the SINR reception oracle: the frozen pre-oracle
-//! baseline (`legacy/...`) vs the reusable zero-allocation
-//! `ReceptionOracle` (`oracle/...`), across interference modes, network
-//! sizes and transmitter densities.
+//! Micro-benchmarks of the reusable zero-allocation `ReceptionOracle`
+//! (`oracle/...`) across interference modes, network sizes, physics
+//! thread counts and transmitter densities.
 //!
 //! ```text
 //! cargo bench -p sinr-bench --bench interference [-- --json out.json] [-- --quick]
 //! ```
 //!
 //! The same suite backs the `microbench` binary that CI runs to produce
-//! the tracked `BENCH_phy.json`.
+//! the tracked `BENCH.json`.
 
 use sinr_bench::microbench::Session;
 use sinr_bench::phy_suite;

@@ -15,8 +15,7 @@
 //! * only records whose names start with a tracked prefix (the
 //!   [`TRACKED`] list: `oracle/`, `broadcast/`, `coloring/`,
 //!   `mobility/`, `churn/`, `degradation/`, `repair/`, `simd/`) are
-//!   gated — `legacy/` rows are a frozen baseline, not a kernel under
-//!   development;
+//!   gated;
 //! * a baseline row recorded on a different CPU feature tier (its `tier`
 //!   field vs the fresh run's) is skipped, not compared — an `avx2+fma`
 //!   `simd/` timing is meaningless on a NEON or scalar-only machine;

@@ -14,17 +14,10 @@
 //!     [-- --json BENCH.json] [-- --quick] [-- --suite phy]
 //! ```
 //!
-//! When the physical-layer suite runs, its records are additionally
-//! written next to the unified report with a `_phy` stem suffix — for
-//! the default output that is `BENCH_phy.json`, the historical per-layer
-//! file, kept as an alias of the `legacy/`+`oracle/` section.
-//!
-//! CI runs this on every push, uploads both reports as workflow
-//! artifacts, and gates on regressions against the committed `BENCH.json`
-//! via the `bench_gate` binary; the copies committed at the repository
-//! root record the before/after trajectory of the tracked kernels.
-//! (Compile with `--features legacy-parity` to also measure the frozen
-//! pre-oracle baseline rows.)
+//! CI runs this on every push, uploads the report as a workflow
+//! artifact, and gates on regressions against the committed `BENCH.json`
+//! via the `bench_gate` binary; the copy committed at the repository
+//! root records the before/after trajectory of the tracked kernels.
 
 use sinr_bench::microbench::Session;
 use sinr_bench::{
@@ -54,17 +47,6 @@ fn main() {
     );
     if want("phy") {
         phy_suite::run(&mut session);
-        // The physical-layer alias derives from the unified report path
-        // (BENCH.json → BENCH_phy.json), so smoke runs with a custom
-        // --json target never clobber the committed trajectory files.
-        let alias = session
-            .sibling_json("_phy")
-            .expect("unified report path is set");
-        session
-            .write_filtered(&alias, |r| {
-                r.name.starts_with("legacy/") || r.name.starts_with("oracle/")
-            })
-            .unwrap_or_else(|e| panic!("write {}: {e}", alias.display()));
     }
     if want("simd") {
         simd_suite::run(&mut session);

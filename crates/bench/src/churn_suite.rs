@@ -18,7 +18,9 @@
 use sinr_netgen::churn::{ChurnModel, ChurnProcess};
 use sinr_netgen::mobility::{Mobility, MobilityModel};
 use sinr_netgen::uniform;
-use sinr_phy::{ChurnDelta, GraphScratch, InterferenceMode, Network, RoundOutcome, SinrParams};
+use sinr_phy::{
+    ChurnDelta, GraphScratch, InterferenceMode, Network, RepairPolicy, RoundOutcome, SinrParams,
+};
 
 use crate::microbench::{black_box, Session};
 use crate::phy_suite::DENSITY;
@@ -61,8 +63,11 @@ pub fn run(session: &mut Session) {
             black_box(net.live_count());
         });
 
-        // The epoch-refresh kernel alone, over a fixed deployment.
+        // The epoch-refresh kernel alone, over a fixed deployment. With
+        // nothing moved, the default policy would repair an empty dirty
+        // set; `AlwaysFull` makes every refresh a real rebuild.
         let mut refresh_net = Network::new(pts.clone(), params).expect("valid");
+        refresh_net.set_repair_policy(RepairPolicy::AlwaysFull);
         session.bench_n(
             &format!("churn/commgraph_rebuild_from/{n}"),
             n,

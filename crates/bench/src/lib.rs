@@ -21,7 +21,7 @@
 //! | e12 | geometry-blind vs GPS-oracle TDMA (the title question) |
 //! | a1 | ablation: the `c_ε` Playoff scale-up |
 //! | a2 | ablation: removing Playoff breaks Lemma 2 |
-//! | a3 | ablation: interference-evaluation fidelity (exact / aggregate / truncated) |
+//! | a3 | ablation: interference-evaluation fidelity (exact vs grid-native `near_radius` 2 / 4 / 8) |
 //!
 //! Every experiment drives the [`sinr_sim::Scenario`] builder through the
 //! shared [`sweep_table`]/[`sweep_cell`] helpers below — the per-trial
@@ -40,8 +40,6 @@ pub mod coloring_suite;
 pub mod config;
 pub mod degradation_suite;
 pub mod experiments;
-#[cfg(feature = "legacy-parity")]
-pub mod legacy;
 pub mod microbench;
 pub mod mobility_suite;
 pub mod phy_suite;

@@ -8,7 +8,7 @@
 //! Besides printing, a [`Session`] collects machine-readable
 //! [`BenchRecord`]s and — when the binary is invoked with `--json <path>`
 //! — writes them as a JSON array, so benchmark results can be tracked
-//! across commits (`BENCH_phy.json` at the repository root holds the
+//! across commits (`BENCH.json` at the repository root holds the
 //! committed trajectory; CI regenerates and uploads it per run).
 
 use std::time::{Duration, Instant};
@@ -171,17 +171,6 @@ impl Session {
         }
     }
 
-    /// The unified report path with `suffix` appended to its file stem —
-    /// section aliases derive from the `--json` target (`BENCH.json` →
-    /// `BENCH_phy.json`, `/tmp/t.json` → `/tmp/t_phy.json`), so a custom
-    /// output path can never clobber the committed files.
-    pub fn sibling_json(&self, suffix: &str) -> Option<std::path::PathBuf> {
-        let path = self.json_path.as_ref()?;
-        let stem = path.file_stem()?.to_str()?;
-        let ext = path.extension().and_then(|e| e.to_str()).unwrap_or("json");
-        Some(path.with_file_name(format!("{stem}{suffix}.{ext}")))
-    }
-
     /// Picks `full` normally, `quick` under `--quick`.
     pub fn pick<T>(&self, full: T, quick: T) -> T {
         if self.quick {
@@ -232,38 +221,6 @@ impl Session {
         out
     }
 
-    /// Writes the records matching `pred` as a JSON array to `path` — the
-    /// section/alias writer (e.g. the physical-layer records of a unified
-    /// report also land in the historical `BENCH_phy.json`).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the I/O error if the report cannot be written.
-    pub fn write_filtered(
-        &self,
-        path: impl AsRef<std::path::Path>,
-        pred: impl Fn(&BenchRecord) -> bool,
-    ) -> std::io::Result<()> {
-        let subset: Vec<&BenchRecord> = self.records.iter().filter(|r| pred(r)).collect();
-        let mut out = String::from("[\n");
-        for (i, r) in subset.iter().enumerate() {
-            out.push_str("  ");
-            out.push_str(&r.to_json());
-            if i + 1 < subset.len() {
-                out.push(',');
-            }
-            out.push('\n');
-        }
-        out.push_str("]\n");
-        std::fs::write(path.as_ref(), out)?;
-        println!(
-            "wrote {} records to {}",
-            subset.len(),
-            path.as_ref().display()
-        );
-        Ok(())
-    }
-
     /// Writes the JSON report if `--json` was given; returns the path
     /// written to.
     ///
@@ -282,7 +239,7 @@ impl Session {
 }
 
 /// Parses a JSON array of benchmark records as written by
-/// [`Session::finish`] / [`Session::write_filtered`] — the reader half of
+/// [`Session::finish`] — the reader half of
 /// the tracked-benchmark loop (the CI regression gate uses it to compare
 /// a fresh report against the committed baseline).
 ///
@@ -462,21 +419,5 @@ mod tests {
         assert_eq!(parsed[0].name, "a/b");
         assert_eq!(parsed[0].n, 4);
         assert_eq!(parsed[0].mean_ns, 8);
-    }
-
-    #[test]
-    fn write_filtered_selects_subset() {
-        let mut s = Session::new();
-        s.bench_n("phy/a", 1, 0, 1, || {});
-        s.bench_n("other/b", 1, 0, 1, || {});
-        let dir = std::env::temp_dir().join("sinr_bench_write_filtered_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("subset.json");
-        s.write_filtered(&path, |r| r.name.starts_with("phy/"))
-            .unwrap();
-        let parsed = parse_records(&std::fs::read_to_string(&path).unwrap());
-        assert_eq!(parsed.len(), 1);
-        assert_eq!(parsed[0].name, "phy/a");
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -1,24 +1,18 @@
 //! The physical-layer benchmark suite: the staged, batched
 //! [`ReceptionOracle`] across interference modes, sizes and physics
-//! thread counts — plus, under the `legacy-parity` feature, the frozen
-//! pre-oracle baseline.
+//! thread counts.
 //!
 //! Shared by the `interference` bench target and the `microbench` binary
-//! (which CI runs to produce the tracked `BENCH.json`; the physical-layer
-//! records also land in the historical `BENCH_phy.json` alias), so the
-//! committed perf trajectory and the interactive bench measure the same
-//! cases. Naming scheme: `legacy/...` is the frozen pre-PR2
-//! implementation ([`crate::legacy`], `legacy-parity` builds only),
-//! `oracle/...` the reusable zero-allocation oracle;
-//! `oracle/grid_native_r4_t<k>/...` rows shard the accumulate stage
-//! across `k` physics threads ([`KernelPool`]).
+//! (which CI runs to produce the tracked `BENCH.json`), so the committed
+//! perf trajectory and the interactive bench measure the same cases.
+//! Every row is an `oracle/...` row of the reusable zero-allocation
+//! oracle; `oracle/grid_native_r4_t<k>/...` rows shard the accumulate
+//! stage across `k` physics threads ([`KernelPool`]).
 
 use sinr_geometry::GridIndex;
 use sinr_netgen::uniform;
 use sinr_phy::{InterferenceMode, KernelPool, ReceptionOracle, RoundOutcome, SinrParams};
 
-#[cfg(feature = "legacy-parity")]
-use crate::legacy;
 use crate::microbench::{black_box, Session};
 
 /// Stations per unit square in the dense-uniform deployments (the load the
@@ -44,35 +38,16 @@ pub fn run(session: &mut Session) {
         let mut oracle = ReceptionOracle::for_stations(n);
         let mut out = RoundOutcome::empty();
 
-        let compat_modes = [
+        let modes = [
             ("exact", InterferenceMode::Exact),
-            ("truncated_r4", InterferenceMode::Truncated { radius: 4.0 }),
-            (
-                "cell_aggregate_r4",
-                InterferenceMode::CellAggregate { near_radius: 4.0 },
-            ),
+            ("grid_native_r4", InterferenceMode::grid_native()),
         ];
-        for (tag, mode) in compat_modes {
-            #[cfg(feature = "legacy-parity")]
-            session.bench(&format!("legacy/{tag}/{n}"), n, || {
-                black_box(legacy::resolve_round(&pts, &params, &tx, mode, Some(&grid)));
-            });
+        for (tag, mode) in modes {
             session.bench(&format!("oracle/{tag}/{n}"), n, || {
                 oracle.resolve_into(&pts, &params, &tx, mode, Some(&grid), &mut out);
                 black_box(&out);
             });
         }
-        session.bench(&format!("oracle/grid_native_r4/{n}"), n, || {
-            oracle.resolve_into(
-                &pts,
-                &params,
-                &tx,
-                InterferenceMode::grid_native(),
-                Some(&grid),
-                &mut out,
-            );
-            black_box(&out);
-        });
     }
 
     // The sharded grid-native kernel: the scaling rows the ROADMAP's
@@ -108,7 +83,7 @@ pub fn run(session: &mut Session) {
         }
     }
 
-    // Transmitter-density scaling of the exact kernel (legacy vs oracle).
+    // Transmitter-density scaling of the exact kernel.
     let n = session.pick(1024, 512);
     let side = uniform::side_for_density(n, DENSITY);
     let pts = uniform::square(n, side, 11);
@@ -116,16 +91,6 @@ pub fn run(session: &mut Session) {
     let mut out = RoundOutcome::empty();
     for &pct in &[2usize, 10, 25] {
         let tx: Vec<usize> = (0..n).step_by(100 / pct).collect();
-        #[cfg(feature = "legacy-parity")]
-        session.bench(&format!("legacy/exact_pct{pct}/{n}"), n, || {
-            black_box(legacy::resolve_round(
-                &pts,
-                &params,
-                &tx,
-                InterferenceMode::Exact,
-                None,
-            ));
-        });
         session.bench(&format!("oracle/exact_pct{pct}/{n}"), n, || {
             oracle.resolve_into(&pts, &params, &tx, InterferenceMode::Exact, None, &mut out);
             black_box(&out);
@@ -136,19 +101,16 @@ pub fn run(session: &mut Session) {
 }
 
 /// Prints the headline speedups the repository tracks: the grid-native
-/// exact-decode path vs the pre-PR oracle at the largest size (when the
-/// legacy baseline is compiled in), and the sharded kernel vs its own
-/// single-thread row.
+/// exact-decode path vs exact physics at the largest size, and the
+/// sharded kernel vs its own single-thread row.
 fn report_speedups(session: &Session, n: usize, shard_sizes: &[usize]) {
+    let exact = session.mean_ns(&format!("oracle/exact/{n}"));
     let native = session.mean_ns(&format!("oracle/grid_native_r4/{n}"));
-    for baseline in ["cell_aggregate_r4", "exact"] {
-        let legacy = session.mean_ns(&format!("legacy/{baseline}/{n}"));
-        if let (Some(l), Some(o)) = (legacy, native) {
-            println!(
-                "speedup oracle/grid_native_r4 vs legacy/{baseline} at n={n}: {:.1}x",
-                l as f64 / o.max(1) as f64
-            );
-        }
+    if let (Some(e), Some(g)) = (exact, native) {
+        println!(
+            "speedup oracle/grid_native_r4 vs oracle/exact at n={n}: {:.1}x",
+            e as f64 / g.max(1) as f64
+        );
     }
     for &n in shard_sizes {
         let t1 = session.mean_ns(&format!("oracle/grid_native_r4_t1/{n}"));

@@ -1,25 +1,26 @@
 //! Property-style equivalence tests for the stateful `ReceptionOracle`.
 //!
-//! Compiled only under the `legacy-parity` feature (CI test jobs enable
-//! it): the frozen pre-PR2 implementation these tests pin against is no
-//! longer part of default builds.
-#![cfg(feature = "legacy-parity")]
+//! For every netgen family (uniform, cluster, line, grid) and several
+//! seeds:
 //!
-//! For every netgen family (uniform, cluster, line, grid), several seeds
-//! and every backward-compatible `InterferenceMode`, the oracle must match
-//! the one-shot `resolve_round` **field-for-field** — and for the
-//! order-stable modes (`Exact`, `Truncated`) it must also match the frozen
-//! pre-PR implementation (`sinr_bench::legacy`) bit-for-bit, pinning
-//! backward compatibility against the code that shipped before the oracle
-//! existed. The grid-native kernel is additionally checked against exact
-//! physics: identical decode decisions wherever the SINR margin exceeds
-//! its documented tail error, which these spread-out families guarantee.
+//! * `Exact` is pinned **bit-for-bit** against a reference built from
+//!   phy's one-receiver functions: every station's total received power
+//!   equals [`total_signal_at`] bitwise, and every decode decision equals
+//!   a strongest-first reference — take the strongest transmitter (the
+//!   first in transmitter order on ties), then apply
+//!   [`SinrParams::decodable`] to it against the rest of the total;
+//! * the one-shot `resolve_round` and a reused oracle agree
+//!   field-for-field in both modes;
+//! * grid-native decode decisions agree with exact physics wherever the
+//!   SINR margin exceeds its documented tail error, which these
+//!   spread-out families guarantee.
 
 use rand::{Rng, SeedableRng, SmallRng};
-use sinr_bench::legacy;
-use sinr_geometry::{GridIndex, Point2};
+use sinr_geometry::{GridIndex, MetricPoint, Point2};
 use sinr_netgen::{cluster, grid as netgrid, line, uniform};
-use sinr_phy::{resolve_round, InterferenceMode, ReceptionOracle, RoundOutcome, SinrParams};
+use sinr_phy::{
+    resolve_round, total_signal_at, InterferenceMode, ReceptionOracle, RoundOutcome, SinrParams,
+};
 
 /// Seeded transmitter subset: every station transmits with probability
 /// `p`, replayable from `seed`.
@@ -46,12 +47,63 @@ fn families(seed: u64) -> Vec<(&'static str, Vec<Point2>)> {
     ]
 }
 
-fn compat_modes() -> [InterferenceMode; 3] {
-    [
-        InterferenceMode::Exact,
-        InterferenceMode::Truncated { radius: 4.0 },
-        InterferenceMode::CellAggregate { near_radius: 4.0 },
-    ]
+fn both_modes() -> [InterferenceMode; 2] {
+    [InterferenceMode::Exact, InterferenceMode::grid_native()]
+}
+
+/// Equation (1) decided one receiver at a time: the strongest
+/// transmitter other than `u` (first on ties) is decoded iff its SINR
+/// against the rest of `u`'s total received power reaches β.
+fn strongest_first_decision<P: MetricPoint>(
+    points: &[P],
+    params: &SinrParams,
+    transmitters: &[usize],
+    u: usize,
+) -> Option<usize> {
+    if transmitters.contains(&u) {
+        return None; // half-duplex
+    }
+    let mut strongest: Option<(usize, f64)> = None;
+    for &t in transmitters {
+        let s = params.signal_at(points[t].distance(&points[u]));
+        match strongest {
+            Some((_, best)) if s <= best => {}
+            _ => strongest = Some((t, s)),
+        }
+    }
+    let (t, s) = strongest?;
+    let total = total_signal_at(points, params, transmitters, u);
+    params.decodable(s, total - s).then_some(t)
+}
+
+#[test]
+fn exact_matches_the_per_receiver_reference_bit_for_bit() {
+    let params = SinrParams::default_plane();
+    let mut oracle = ReceptionOracle::new();
+    let mut out = RoundOutcome::empty();
+    let mut receivers = 0;
+    for seed in [1u64, 2, 3] {
+        for (family, pts) in families(seed) {
+            let tx = draw_tx(pts.len(), 0.08, seed * 1000 + 13);
+            oracle.resolve_into(&pts, &params, &tx, InterferenceMode::Exact, None, &mut out);
+            assert_eq!(out.num_transmitters, tx.len());
+            for u in 0..pts.len() {
+                let reference = total_signal_at(&pts, &params, &tx, u);
+                assert_eq!(
+                    oracle.received_power()[u].to_bits(),
+                    reference.to_bits(),
+                    "{family} seed {seed}: total power at {u}"
+                );
+                assert_eq!(
+                    out.decoded_from[u],
+                    strongest_first_decision(&pts, &params, &tx, u),
+                    "{family} seed {seed}: decision at {u}"
+                );
+                receivers += 1;
+            }
+        }
+    }
+    assert_eq!(receivers, 2880, "4 families × 3 seeds");
 }
 
 #[test]
@@ -63,7 +115,7 @@ fn oracle_matches_resolve_round_field_for_field() {
         for (family, pts) in families(seed) {
             let grid = GridIndex::build(&pts, 1.0);
             let tx = draw_tx(pts.len(), 0.05, seed * 1000 + 7);
-            for mode in compat_modes() {
+            for mode in both_modes() {
                 let free = resolve_round(&pts, &params, &tx, mode, Some(&grid));
                 // The reused oracle (warm scratch from previous families
                 // and modes) must agree field-for-field.
@@ -74,57 +126,6 @@ fn oracle_matches_resolve_round_field_for_field() {
                 );
                 assert_eq!(free.num_transmitters, tx.len());
             }
-            // Grid-native resolves through the same reused scratch.
-            oracle.resolve_into(
-                &pts,
-                &params,
-                &tx,
-                InterferenceMode::grid_native(),
-                Some(&grid),
-                &mut out,
-            );
-            let fresh = ReceptionOracle::new().resolve(
-                &pts,
-                &params,
-                &tx,
-                InterferenceMode::grid_native(),
-                Some(&grid),
-            );
-            assert_eq!(
-                fresh, out,
-                "{family} seed {seed}: warm != fresh grid-native"
-            );
-        }
-    }
-}
-
-#[test]
-fn oracle_is_bit_for_bit_backward_compatible_on_order_stable_modes() {
-    // `Exact` and `Truncated` accumulate in the historical order, so the
-    // frozen pre-PR implementation must agree exactly — including every
-    // floating-point sum, hence every decode decision, on every family.
-    let params = SinrParams::default_plane();
-    for seed in [1u64, 2, 3] {
-        for (family, pts) in families(seed) {
-            let grid = GridIndex::build(&pts, 1.0);
-            let tx = draw_tx(pts.len(), 0.08, seed * 1000 + 13);
-            for mode in [
-                InterferenceMode::Exact,
-                InterferenceMode::Truncated { radius: 4.0 },
-            ] {
-                let old = legacy::resolve_round(&pts, &params, &tx, mode, Some(&grid));
-                let new = resolve_round(&pts, &params, &tx, mode, Some(&grid));
-                assert_eq!(old, new, "{family} seed {seed} {mode:?}");
-            }
-            // Cell-aggregate: the legacy hash-map cell order is
-            // nondeterministic, so only decode decisions are comparable.
-            let mode = InterferenceMode::CellAggregate { near_radius: 4.0 };
-            let old = legacy::resolve_round(&pts, &params, &tx, mode, Some(&grid));
-            let new = resolve_round(&pts, &params, &tx, mode, Some(&grid));
-            assert_eq!(
-                old.decoded_from, new.decoded_from,
-                "{family} seed {seed} cell-aggregate decisions"
-            );
         }
     }
 }

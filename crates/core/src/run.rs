@@ -236,8 +236,7 @@ pub fn run_local_broadcast<P: MetricPoint>(
 }
 
 /// As [`run_s_broadcast`], with an explicit interference-evaluation mode
-/// (used by the A3 simulator-fidelity ablation: exact vs. cell-aggregated
-/// vs. truncated physics on identical seeds).
+/// (exact or grid-native physics on identical seeds).
 ///
 /// # Errors
 ///

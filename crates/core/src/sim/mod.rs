@@ -207,8 +207,8 @@
 //! run, so they cannot leak state across seeds either. The golden tests
 //! in `tests/scenario_golden.rs` pin the sweep properties (plus
 //! field-for-field agreement with the legacy `run_*` runners), and
-//! `tests/mode_determinism.rs` pins physics-thread invariance across
-//! every interference mode — for static and mobile topologies alike.
+//! `tests/mode_determinism.rs` pins physics-thread invariance in both
+//! interference modes — for static and mobile topologies alike.
 
 mod adversary;
 mod churn;

@@ -374,12 +374,18 @@ impl<P: MetricPoint> Scenario<P> {
     ///
     /// [`SimError::MissingProtocol`] without a protocol;
     /// [`SimError::MissingBudget`] when a goal-driven protocol has no
-    /// budget.
+    /// budget; [`SimError::Spec`] when a knob is out of range (an
+    /// interference mode failing [`InterferenceMode::validate`], a flood
+    /// probability outside `(0, 1]`, …).
     pub fn build(self) -> Result<Simulation<P>, SimError> {
         let spec = self.protocol.as_ref().ok_or(SimError::MissingProtocol)?;
         if self.budget.is_none() && !spec.has_fixed_schedule() {
             return Err(SimError::MissingBudget);
         }
+        // Fail fast here rather than panicking inside run()/sweep()
+        // worker threads (Network::with_interference_mode applies the
+        // same rule).
+        self.mode.validate().map_err(SimError::Spec)?;
         if let Some(mob) = &self.mobility {
             if mob.epoch_rounds == 0 {
                 return Err(SimError::Spec(
@@ -428,15 +434,17 @@ impl<P: MetricPoint> Scenario<P> {
                 )));
             }
         }
-        if let ProtocolSpec::ReFloodBroadcast {
-            p, burst_rounds, ..
-        } = spec
+        if let ProtocolSpec::FloodBroadcast { p, .. } | ProtocolSpec::ReFloodBroadcast { p, .. } =
+            spec
         {
             if !(*p > 0.0 && *p <= 1.0) {
                 return Err(SimError::Spec(format!(
-                    "re-flood probability must be in (0, 1], got {p}"
+                    "{} probability must be in (0, 1], got {p}",
+                    spec.name()
                 )));
             }
+        }
+        if let ProtocolSpec::ReFloodBroadcast { burst_rounds, .. } = spec {
             if *burst_rounds == 0 {
                 return Err(SimError::Spec(
                     "re-flood burst must last at least one round".into(),

@@ -709,13 +709,6 @@ fn protocol_from_value(v: &Value) -> Result<ProtocolSpec, WireError> {
 fn mode_to_value(m: InterferenceMode) -> Value {
     match m {
         InterferenceMode::Exact => tagged("exact", vec![]),
-        InterferenceMode::Truncated { radius } => {
-            tagged("truncated", vec![("radius".into(), Value::Float(radius))])
-        }
-        InterferenceMode::CellAggregate { near_radius } => tagged(
-            "cell-aggregate",
-            vec![("near_radius".into(), Value::Float(near_radius))],
-        ),
         InterferenceMode::GridNative { near_radius } => tagged(
             "grid-native",
             vec![("near_radius".into(), Value::Float(near_radius))],
@@ -726,12 +719,6 @@ fn mode_to_value(m: InterferenceMode) -> Value {
 fn mode_from_value(v: &Value) -> Result<InterferenceMode, WireError> {
     Ok(match kind(v)? {
         "exact" => InterferenceMode::Exact,
-        "truncated" => InterferenceMode::Truncated {
-            radius: f64_field(v, "radius")?,
-        },
-        "cell-aggregate" => InterferenceMode::CellAggregate {
-            near_radius: f64_field(v, "near_radius")?,
-        },
         "grid-native" => InterferenceMode::GridNative {
             near_radius: f64_field(v, "near_radius")?,
         },
@@ -1801,5 +1788,27 @@ mod tests {
         spec = spec.replace("s-broadcast", "no-such-protocol");
         assert!(ScenarioSpec::decode(&spec).is_err());
         assert!(decode_run_report("{\"seed\":1}").is_err());
+    }
+
+    #[test]
+    fn only_exact_and_grid_native_modes_decode() {
+        let mut spec = ScenarioSpec::new(
+            TopologySpec::UniformSquare { n: 4, side: 1.0 },
+            ProtocolSpec::SBroadcast { source: 0 },
+        );
+        spec.mode = InterferenceMode::grid_native();
+        let text = spec.encode();
+        let mode = mode_to_value(spec.mode).encode();
+        assert!(text.contains(&mode));
+        for gone in [
+            "{\"kind\":\"truncated\",\"radius\":4.0}",
+            "{\"kind\":\"cell-aggregate\",\"near_radius\":4.0}",
+        ] {
+            let err = ScenarioSpec::decode(&text.replace(&mode, gone)).unwrap_err();
+            assert!(
+                err.to_string().contains("unknown interference mode"),
+                "{err}"
+            );
+        }
     }
 }

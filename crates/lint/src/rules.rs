@@ -268,7 +268,7 @@ fn check_file(
                         Rule::UnorderedCollections,
                         format!(
                             "`{id}` in deterministic crate `{krate}`: unordered iteration \
-                             reorders FP accumulation (the PR-2 CellAggregate bug); use \
+                             reorders FP accumulation (the historical hash-map cell-order bug); use \
                              `BTreeMap`/`BTreeSet` or a sorted vec"
                         ),
                     );

@@ -42,8 +42,8 @@
 //! [`CommGraph::build_masked`] over the same population — same row
 //! order, ascending neighbours, same edge count — so protocols, BFS
 //! tie-breaks and interference sums cannot observe which path ran
-//! (`tests/repair_equivalence.rs` pins this across all four
-//! interference modes and physics-thread counts 1/2/8). Measured on the
+//! (`tests/repair_equivalence.rs` pins this in both interference
+//! modes and at physics-thread counts 1/2/8). Measured on the
 //! `repair/` rows of `BENCH.json`: 18.8×/18.9×/17.5× faster than the
 //! full rebuild at n = 10⁴/10⁵/10⁶ with 1% movers (57.9×/35.7×/37.0×
 //! at 0.1%); [`RepairPolicy`] (default `Auto`) falls back to the full
@@ -51,37 +51,30 @@
 //!
 //! # Choosing an interference mode
 //!
-//! Four fidelities trade accuracy against per-round cost
-//! ([`InterferenceMode`]). Measured cost is mean wall-clock per round on a
-//! dense uniform deployment (density 30 per unit square, 2% of stations
-//! transmitting, α = 3, one physics thread) from `BENCH.json` (regenerate
-//! with `cargo run --release -p sinr-bench --bin microbench`):
+//! Two fidelities trade accuracy against per-round cost
+//! ([`InterferenceMode`]). Cost is the fastest of 10 rounds on a dense
+//! uniform deployment (density 30 per unit square, 2% of stations
+//! transmitting, α = 3, one physics thread), from the `oracle/` rows of
+//! the committed `BENCH.json` (regenerate with
+//! `cargo run --release -p sinr-bench --bin microbench -- --suite phy`):
 //!
 //! | mode | n = 1 024 | n = 10 000 | decode | interference tail |
 //! |------|----------:|-----------:|--------|-------------------|
-//! | `Exact` | 535 µs | 49.0 ms | exact | exact (`O(\|T\|·n)`) |
-//! | `CellAggregate{4}` | 560 µs | 42.7 ms | exact | per-receiver cell aggregate, error ≲ α·√2/(2·4) per far term |
-//! | `GridNative{4}` | 74 µs | **2.0 ms** | exact | per-receiver-**cell** shared tail, error ≲ α·√2/4 per far term |
-//! | `Truncated{4}` | 438 µs | 10.2 ms | exact in range | dropped beyond 4 (systematically optimistic) |
+//! | `Exact` | 491 µs | 47.5 ms | exact | exact (`O(\|T\|·n)`) |
+//! | `GridNative{4}` | 113 µs | **1.74 ms** | exact | per-receiver-**cell** shared tail, error ≲ α·√2/4 per far term |
 //!
-//! Rules of thumb:
+//! `Exact` is the ground truth and the default everywhere;
+//! [`InterferenceMode::grid_native`] is the mode for large sweeps (exact
+//! decode decisions whenever the SINR margin exceeds its tail
+//! perturbation; the a3 ablation sweeps its `near_radius`), and
+//! `Scenario::fast_physics()` selects it. Two earlier approximations were
+//! deleted because neither paid: a truncated tail (5× slower than
+//! grid-native at n = 10⁴, and biased toward exactly the receptions
+//! Theorems 1–2 count) and a per-receiver cell aggregate (slower than
+//! `Exact` at n = 4 096).
 //!
-//! * **Small experiments / ground truth** — `Exact`. It is also the
-//!   default everywhere, keeping historical results bit-for-bit.
-//! * **Large sweeps** — [`InterferenceMode::grid_native`] (exact decode
-//!   decisions whenever the SINR margin exceeds its tail perturbation; at
-//!   n = 10⁴ it is ~20× faster than the pre-oracle exact/cell-aggregate
-//!   paths, and the a3 ablation tracks exact round counts within a few
-//!   percent). `Scenario::fast_physics()` selects it.
-//! * **`CellAggregate`** — when the tail must be estimated per receiver
-//!   (tighter error than grid-native) but truncation bias is unacceptable.
-//! * **`Truncated`** — only for quick upper-bound sanity sweeps; errors
-//!   *favour* reception, unlike the aggregated modes.
-//!
-//! Determinism: every mode is a pure function of `(points, params, T)` —
-//! aggregate cells are iterated in sorted key order (a previous version
-//! used a hash map with per-instance random ordering; see
-//! `reception::tests::cell_aggregate_is_deterministic_across_runs`).
+//! Determinism: both modes are a pure function of `(points, params, T)`;
+//! grid-native iterates transmitter cells in sorted key order.
 //!
 //! # Threads and batching
 //!
@@ -101,10 +94,9 @@
 //! * **Thread sharding.** A [`KernelPool`] shards the accumulate stage
 //!   across scoped worker threads: grid-native by contiguous
 //!   receiver-cell ranges (each shard owns a contiguous slot range, with
-//!   per-shard scratch), exact and cell-aggregate by contiguous station
-//!   ranges; truncated stays serial (its transmitter-major ball walks
-//!   would be repeated per shard). Because every per-receiver sum keeps
-//!   its serial accumulation order and shard writes are disjoint slices,
+//!   per-shard scratch), exact by contiguous station ranges. Because
+//!   every per-receiver sum keeps its serial accumulation order and
+//!   shard writes are disjoint slices,
 //!   **results are bitwise identical at any thread count** — pinned at
 //!   the oracle level (`oracle::tests`), the engine level and the full
 //!   `RunReport` level (`tests/mode_determinism.rs`).

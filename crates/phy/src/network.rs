@@ -226,22 +226,10 @@ impl<P: MetricPoint> Network<P> {
     ///
     /// # Panics
     ///
-    /// Panics if a truncated mode's radius is below the communication range.
+    /// Panics if the mode fails [`InterferenceMode::validate`].
     pub fn with_interference_mode(mut self, mode: InterferenceMode) -> Self {
-        match mode {
-            InterferenceMode::Truncated { radius } => assert!(
-                radius >= self.params.range(),
-                "truncation radius must cover the communication range"
-            ),
-            InterferenceMode::CellAggregate { near_radius } => assert!(
-                near_radius >= 2.0,
-                "cell-aggregate near radius must be at least 2"
-            ),
-            InterferenceMode::GridNative { near_radius } => assert!(
-                near_radius >= 2.0,
-                "grid-native near radius must be at least 2"
-            ),
-            InterferenceMode::Exact => {}
+        if let Err(msg) = mode.validate() {
+            panic!("{msg}");
         }
         self.mode = mode;
         self
@@ -615,26 +603,23 @@ mod tests {
     }
 
     #[test]
-    fn truncated_mode_roundtrip() {
+    fn grid_native_mode_roundtrip() {
         let pts = vec![Point2::new(0.0, 0.0), Point2::new(0.5, 0.0)];
         let net = Network::new(pts, SinrParams::default_plane())
             .unwrap()
-            .with_interference_mode(InterferenceMode::Truncated { radius: 3.0 });
-        assert_eq!(
-            net.interference_mode(),
-            InterferenceMode::Truncated { radius: 3.0 }
-        );
+            .with_interference_mode(InterferenceMode::grid_native());
+        assert_eq!(net.interference_mode(), InterferenceMode::grid_native());
         let out = net.resolve(&[0]);
         assert_eq!(out.decoded_from[1], Some(0));
     }
 
     #[test]
-    #[should_panic]
-    fn truncation_radius_below_range_panics() {
+    #[should_panic(expected = "must be at least 2")]
+    fn near_radius_below_two_panics() {
         let pts = vec![Point2::origin()];
         let _ = Network::new(pts, SinrParams::default_plane())
             .unwrap()
-            .with_interference_mode(InterferenceMode::Truncated { radius: 0.5 });
+            .with_interference_mode(InterferenceMode::GridNative { near_radius: 1.5 });
     }
 
     #[test]

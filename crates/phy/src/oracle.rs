@@ -12,7 +12,7 @@
 //! Every round goes through three explicit stages:
 //!
 //! 1. **plan** — clear the per-station accumulators, mark the transmitter
-//!    set, and (for the cell-bucketed modes) sort the transmitters into
+//!    set, and (for the grid-native mode) sort the transmitters into
 //!    flat cell buckets with SoA coordinates and per-cell centroids;
 //! 2. **accumulate** — fill, per station, the total received power and
 //!    the strongest transmitter. This is the stage that shards: given a
@@ -20,24 +20,19 @@
 //!    splits the *receiver cells* into contiguous ranges (each owning a
 //!    contiguous slot range of the grid's CSR layout, accumulated into
 //!    slot-ordered buffers so shard writes are disjoint slices), and the
-//!    exact / cell-aggregate kernels split the station range. Per-receiver
-//!    floating-point sums accumulate in the same order as the serial
-//!    kernels, so results are **bitwise identical at any thread count**;
-//!    truncated mode keeps its historical transmitter-major order and
-//!    always runs serially.
+//!    exact kernel splits the station range. Per-receiver floating-point
+//!    sums accumulate in the same order as the serial kernels, so results
+//!    are **bitwise identical at any thread count**.
 //! 3. **decide** — apply the SINR threshold test per station and emit
 //!    [`RoundOutcome`].
 //!
-//! The oracle reproduces the free function **field-for-field** in every
-//! [`InterferenceMode`]; `Exact` and `Truncated` accumulate per receiver
-//! in the same order as the historical implementation, so they are
-//! bit-for-bit backward compatible. `CellAggregate` iterates transmitter
-//! cells in sorted key order (the historical hash-map order was
-//! nondeterministic — see the regression test in `reception.rs`), and the
-//! [`InterferenceMode::GridNative`] kernel — whose near loops run through
-//! the batched SoA kernels ([`sinr_geometry::PositionStore`],
-//! [`SinrParams::signal_at_sq_batch`]) — is only available here and
-//! through the wrappers that delegate here.
+//! `Exact` accumulates per receiver in transmitter order, so each total
+//! over at least one term is bit-for-bit [`crate::total_signal_at`]
+//! (pinned by `crates/bench/tests/oracle_equivalence.rs`). The
+//! [`InterferenceMode::GridNative`] kernel iterates transmitter cells in
+//! sorted key order, and its near loops run through the batched SoA
+//! kernels ([`sinr_geometry::PositionStore`],
+//! [`SinrParams::signal_at_sq_batch`]).
 
 use sinr_geometry::{CellKey, GridIndex, KernelDispatch, MetricPoint, PositionStore, SimdTier};
 
@@ -209,13 +204,13 @@ impl ReceptionOracle {
     /// [`resolve_round`](crate::reception::resolve_round) (which now
     /// delegates to a one-shot oracle): `transmitters` is the set `T`
     /// (indices into `points`, duplicates not allowed), `grid` is required
-    /// for every mode except `Exact` and must be built over `points`.
+    /// for `GridNative` and must be built over `points`.
     ///
     /// # Panics
     ///
-    /// Panics if a transmitter index is out of range, if a grid-backed mode
-    /// is requested without a grid, or if a mode's radius parameter is
-    /// below its documented minimum.
+    /// Panics if a transmitter index is out of range, if `GridNative` is
+    /// requested without a grid, or if the mode fails
+    /// [`InterferenceMode::validate`].
     pub fn resolve_into<P: MetricPoint>(
         &mut self,
         points: &[P],
@@ -271,8 +266,8 @@ impl ReceptionOracle {
     }
 
     /// Stage 1 — plan: clear the accumulators and mark the transmitter
-    /// set (the cell-bucketed modes additionally bucket transmitters at
-    /// the top of their accumulate arm).
+    /// set (grid-native additionally buckets transmitters at the top of
+    /// its accumulate arm).
     fn plan<P: MetricPoint>(&mut self, points: &[P], transmitters: &[usize]) {
         let n = points.len();
         self.reset(n);
@@ -295,35 +290,16 @@ impl ReceptionOracle {
         grid: Option<&GridIndex>,
         pool: &mut KernelPool,
     ) {
-        let n = points.len();
+        if let Err(msg) = mode.validate() {
+            panic!("{msg}");
+        }
         match mode {
             InterferenceMode::Exact => self.accumulate_exact(points, params, transmitters, pool),
-            InterferenceMode::Truncated { radius } => {
-                assert!(
-                    radius >= params.range(),
-                    "truncation radius {radius} must be at least the communication range 1"
-                );
-                let grid = grid.expect("Truncated interference mode requires a grid index");
-                self.accumulate_truncated(points, params, transmitters, radius, grid);
-            }
-            InterferenceMode::CellAggregate { near_radius } => {
-                assert!(
-                    near_radius >= 2.0,
-                    "near_radius {near_radius} must be at least 2 (range 1 plus cell slack)"
-                );
-                let grid = grid.expect("CellAggregate interference mode requires a grid index");
-                self.bucket_transmitters(points, transmitters, grid);
-                self.accumulate_cell_aggregate(points, params, near_radius, grid, pool);
-            }
             InterferenceMode::GridNative { near_radius } => {
-                assert!(
-                    near_radius >= 2.0,
-                    "grid-native near radius {near_radius} must be at least 2"
-                );
                 let grid = grid.expect("GridNative interference mode requires a grid index");
                 debug_assert_eq!(
                     grid.domain_len(),
-                    n,
+                    points.len(),
                     "grid must be built over the same point slice"
                 );
                 self.bucket_transmitters(points, transmitters, grid);
@@ -376,42 +352,6 @@ impl ReceptionOracle {
         );
     }
 
-    /// Truncated interference through the allocation-free ball visitor.
-    ///
-    /// Receivers accumulate one term per transmitter in transmitter-major
-    /// order, so the visitor's cell-major receiver order leaves every
-    /// per-receiver sum bit-for-bit identical to the historical
-    /// `grid.ball` iteration. Always serial: sharding receivers would
-    /// repeat every transmitter's ball walk per shard — use
-    /// [`InterferenceMode::GridNative`] when the round needs to scale
-    /// across threads.
-    fn accumulate_truncated<P: MetricPoint>(
-        &mut self,
-        points: &[P],
-        params: &SinrParams,
-        transmitters: &[usize],
-        radius: f64,
-        grid: &GridIndex,
-    ) {
-        let total = &mut self.total;
-        let best_pow = &mut self.best_pow;
-        let best_idx = &mut self.best_idx;
-        for &t in transmitters {
-            let tp = points[t];
-            grid.for_each_in_ball(points, tp, radius, |u| {
-                if u == t {
-                    return;
-                }
-                let s = params.signal_at(tp.distance(&points[u]));
-                total[u] += s;
-                if s > best_pow[u] {
-                    best_pow[u] = s;
-                    best_idx[u] = t;
-                }
-            });
-        }
-    }
-
     /// Buckets `transmitters` into flat sorted cells of `grid`, computing
     /// per-cell centroids and the SoA coordinate copy the batch kernels
     /// stream through. Reuses all bucket buffers; members end up ascending
@@ -452,52 +392,6 @@ impl ReceptionOracle {
             self.bucket_centroids.push(centroid);
         }
         self.bucket_starts.push(self.tx_cells.len());
-    }
-
-    /// One-level multipole: near cells exactly, far cells as one aggregate
-    /// at the cell centroid, per receiver. Cells are visited in sorted key
-    /// order, making the floating-point sums deterministic. Shards by
-    /// contiguous station ranges.
-    fn accumulate_cell_aggregate<P: MetricPoint>(
-        &mut self,
-        points: &[P],
-        params: &SinrParams,
-        near_radius: f64,
-        grid: &GridIndex,
-        pool: &mut KernelPool,
-    ) {
-        // Every cell member lies within one cell diagonal of the
-        // transmitter centroid.
-        let diag = grid.cell_side() * (P::AXES as f64).sqrt();
-        let n = points.len();
-        let shards = pool.plan_stations(n);
-        let (bounds, scratches) = pool.parts();
-        let tx_cells = &self.tx_cells;
-        let bucket_starts = &self.bucket_starts;
-        let bucket_centroids = &self.bucket_centroids;
-        run_sharded(
-            shards,
-            &|s| bounds[s + 1] - bounds[s],
-            &mut self.total,
-            &mut self.best_pow,
-            &mut self.best_idx,
-            scratches,
-            &|s, t0, p0, i0, _scr| {
-                cell_aggregate_range(
-                    bounds[s],
-                    t0,
-                    p0,
-                    i0,
-                    points,
-                    params,
-                    near_radius,
-                    diag,
-                    tx_cells,
-                    bucket_starts,
-                    bucket_centroids,
-                )
-            },
-        );
     }
 
     /// The grid-native kernel: exact decode, approximate tail, shared per
@@ -674,62 +568,6 @@ fn exact_range<P: MetricPoint>(
     }
 }
 
-/// Cell-aggregate kernel over the station range starting at `base`: per
-/// receiver, transmitter cells in sorted key order — near cells exactly
-/// per member, far cells as one aggregate at the centroid.
-#[allow(clippy::too_many_arguments)]
-fn cell_aggregate_range<P: MetricPoint>(
-    base: usize,
-    total: &mut [f64],
-    best_pow: &mut [f64],
-    best_idx: &mut [usize],
-    points: &[P],
-    params: &SinrParams,
-    near_radius: f64,
-    diag: f64,
-    tx_cells: &[(CellKey, usize)],
-    bucket_starts: &[usize],
-    bucket_centroids: &[[f64; 3]],
-) {
-    let buckets = bucket_starts.len().saturating_sub(1);
-    for (off, tot) in total.iter_mut().enumerate() {
-        let u = base + off;
-        let pu = points[u];
-        let mut acc = 0.0f64;
-        let mut bp = 0.0f64;
-        let mut bi = usize::MAX;
-        for b in 0..buckets {
-            let centroid = &bucket_centroids[b];
-            let mut d2 = 0.0;
-            for (axis, c) in centroid.iter().enumerate().take(P::AXES) {
-                let dd = pu.coord(axis) - c;
-                d2 += dd * dd;
-            }
-            let dc = d2.sqrt();
-            let members = &tx_cells[bucket_starts[b]..bucket_starts[b + 1]];
-            if dc > near_radius + diag {
-                // All members are farther than near_radius from u.
-                acc += members.len() as f64 * params.signal_at(dc);
-            } else {
-                for &(_, t) in members {
-                    if t == u {
-                        continue;
-                    }
-                    let s = params.signal_at(points[t].distance(&pu));
-                    acc += s;
-                    if s > bp {
-                        bp = s;
-                        bi = t;
-                    }
-                }
-            }
-        }
-        *tot = acc;
-        best_pow[off] = bp;
-        best_idx[off] = bi;
-    }
-}
-
 /// Grid-native kernel over one contiguous receiver-cell range whose slots
 /// start at `slot_base` (slices are the shard's pre-split slot windows).
 #[allow(clippy::too_many_arguments)]
@@ -860,17 +698,15 @@ mod tests {
             .collect()
     }
 
-    fn all_modes() -> [InterferenceMode; 4] {
+    fn all_modes() -> [InterferenceMode; 2] {
         [
             InterferenceMode::Exact,
-            InterferenceMode::Truncated { radius: 4.0 },
-            InterferenceMode::CellAggregate { near_radius: 4.0 },
             InterferenceMode::GridNative { near_radius: 4.0 },
         ]
     }
 
     #[test]
-    fn oracle_matches_free_function_in_every_compat_mode() {
+    fn oracle_matches_free_function_in_every_mode() {
         let pts = spread(200);
         let grid = GridIndex::build(&pts, 1.0);
         let p = params();
@@ -1006,11 +842,8 @@ mod tests {
                 (0..150).step_by(3).collect(),
                 InterferenceMode::GridNative { near_radius: 4.0 },
             ),
-            (
-                vec![0],
-                InterferenceMode::CellAggregate { near_radius: 4.0 },
-            ),
-            (vec![], InterferenceMode::Truncated { radius: 2.0 }),
+            (vec![0], InterferenceMode::GridNative { near_radius: 2.0 }),
+            (vec![], InterferenceMode::Exact),
             (
                 (0..150).step_by(7).collect(),
                 InterferenceMode::GridNative { near_radius: 4.0 },
@@ -1096,7 +929,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic]
+    #[should_panic(expected = "must be at least 2")]
     fn grid_native_rejects_small_near_radius() {
         let pts = vec![Point2::origin()];
         let grid = GridIndex::build(&pts, 1.0);

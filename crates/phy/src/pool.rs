@@ -10,8 +10,8 @@
 //! scratch is steady-state allocation-free.
 //!
 //! Determinism contract: sharding **never** changes results. Shards own
-//! contiguous receiver-cell (grid-native) or station (exact /
-//! cell-aggregate) ranges, every per-receiver floating-point sum is
+//! contiguous receiver-cell (grid-native) or station (exact) ranges,
+//! every per-receiver floating-point sum is
 //! accumulated in the same order as the serial kernel, and no shard
 //! writes outside its range — so resolved rounds are bitwise identical
 //! at any thread count (pinned by `tests/mode_determinism.rs`). The
@@ -60,8 +60,7 @@ pub struct KernelPool {
     threads: usize,
     shards: Vec<ShardScratch>,
     /// Shard boundaries of the current round: cell indices (grid-native)
-    /// or station indices (exact / cell-aggregate), `shard_count + 1`
-    /// entries.
+    /// or station indices (exact), `shard_count + 1` entries.
     bounds: Vec<usize>,
 }
 

@@ -23,38 +23,6 @@ pub enum InterferenceMode {
     /// Exact evaluation of Equation (1): every transmitter contributes to
     /// every receiver. Cost `O(|T|·n)` per round.
     Exact,
-    /// Transmitters farther than `radius` from a receiver are ignored.
-    ///
-    /// For bounded-density inputs the neglected far-field interference is
-    /// `O(density · radius^{γ−α})`, vanishing as `radius` grows because
-    /// α > γ. Reception decisions are slightly *optimistic* compared to
-    /// [`InterferenceMode::Exact`]; use only for large-scale sweeps after
-    /// checking agreement (see the `truncation` tests and the criterion
-    /// bench `interference`).
-    Truncated {
-        /// Interference cut-off radius (must exceed the communication range 1).
-        radius: f64,
-    },
-    /// Far-field interference is aggregated per grid cell (a one-level
-    /// multipole approximation): transmitters within `near_radius` of a
-    /// receiver contribute exactly; farther transmitters contribute
-    /// `P·d(u, cell centre)^{−α}` through their cell's aggregate.
-    ///
-    /// The strongest (decodable) transmitter is always within the
-    /// communication range 1 < `near_radius`, so decode *candidates* are
-    /// exact and only the interference tail is approximated. With cell side
-    /// `g` and `d ≥ near_radius`, each far contribution carries a relative
-    /// error ≤ `(1 − g·√2/(2d))^{−α} − 1 ≈ α·g·√2/(2·near_radius)` — a few
-    /// percent at the defaults (`g = 1`, `near_radius = 4`). Unlike
-    /// [`InterferenceMode::Truncated`] the tail is *estimated*, not
-    /// dropped, so errors do not systematically favour reception.
-    ///
-    /// Cost: `O(|T| + n·#cells + near pairs)` instead of `O(|T|·n)`.
-    CellAggregate {
-        /// Exact-evaluation radius (must be at least 2: range 1 plus one
-        /// cell diagonal of slack).
-        near_radius: f64,
-    },
     /// The grid-native kernel: exact decode, approximate tail, shared per
     /// receiver cell — the recommended mode for large sweeps.
     ///
@@ -66,20 +34,17 @@ pub enum InterferenceMode {
     /// evaluated once between the two cells' member centroids and shared by
     /// every receiver in the cell.
     ///
-    /// Compared to [`InterferenceMode::CellAggregate`] — which evaluates
-    /// the far field per receiver — the tail here is approximated at both
-    /// endpoints, carrying a relative error per far term of roughly
-    /// `α·g·√2 / near_radius` (cell side `g`; both centroid offsets are at
-    /// most `g·√2/2` and first-order errors partially cancel across a
-    /// cell's members). Decode decisions are exact whenever the SINR margin
-    /// exceeds that tail perturbation; like `CellAggregate`, and unlike
-    /// [`InterferenceMode::Truncated`], errors do not systematically favour
-    /// reception.
+    /// The tail is approximated at both endpoints, carrying a relative
+    /// error per far term of roughly `α·g·√2 / near_radius` (cell side
+    /// `g`; both centroid offsets are at most `g·√2/2` and first-order
+    /// errors partially cancel across a cell's members). Decode decisions
+    /// are exact whenever the SINR margin exceeds that tail perturbation,
+    /// and because the tail is *estimated*, not dropped, errors do not
+    /// systematically favour reception.
     ///
     /// Cost: `O(|T| log |T| + #cells·#tx-cells + near pairs)` per round,
-    /// with no square-root/`powf` per far pair — measured ~15× faster than
-    /// `Exact` and ~14× faster than `CellAggregate` at n = 10⁴, 2% load
-    /// (see `BENCH_phy.json`).
+    /// with no square-root/`powf` per far pair — measured ~27× faster than
+    /// `Exact` at n = 10⁴, 2% load (the `oracle/` rows of `BENCH.json`).
     GridNative {
         /// Exact-evaluation radius (must be at least 2; default 4 balances
         /// the tail error against the near-pair count).
@@ -92,6 +57,25 @@ impl InterferenceMode {
     /// decisions, per-cell approximate interference tail.
     pub fn grid_native() -> Self {
         InterferenceMode::GridNative { near_radius: 4.0 }
+    }
+
+    /// Checks the mode's parameters — the one rule every entry point
+    /// ([`crate::Network::with_interference_mode`], the oracle and the
+    /// `Scenario` builder) applies: a grid-native `near_radius` must be at
+    /// least 2 (range 1 plus one cell of slack), which also rejects NaN.
+    ///
+    /// # Errors
+    ///
+    /// A message naming the offending parameter.
+    pub fn validate(self) -> Result<(), String> {
+        match self {
+            InterferenceMode::Exact => Ok(()),
+            InterferenceMode::GridNative { near_radius } if near_radius >= 2.0 => Ok(()),
+            InterferenceMode::GridNative { near_radius } => Err(format!(
+                "grid-native near radius {near_radius} must be at least 2 \
+                 (range 1 plus cell slack)"
+            )),
+        }
     }
 }
 
@@ -125,8 +109,8 @@ impl RoundOutcome {
 /// Resolves one round: which stations decode which transmitter.
 ///
 /// `transmitters` is the set `T` (indices into `points`, duplicates not
-/// allowed). `grid` is required for every mode except
-/// [`InterferenceMode::Exact`] and ignored for exact evaluation.
+/// allowed). `grid` is required for [`InterferenceMode::GridNative`] and
+/// ignored for exact evaluation.
 ///
 /// This is the one-shot convenience wrapper: it builds a fresh
 /// [`ReceptionOracle`] per call. Round loops should construct the oracle
@@ -135,10 +119,10 @@ impl RoundOutcome {
 ///
 /// # Panics
 ///
-/// Panics if a transmitter index is out of range, if a grid-backed mode is
-/// requested without a grid, or if a truncation/near radius is below its
-/// documented minimum (which would corrupt even interference-free
-/// receptions).
+/// Panics if a transmitter index is out of range, if the grid-native mode
+/// is requested without a grid, or if its near radius fails
+/// [`InterferenceMode::validate`] (which would corrupt even
+/// interference-free receptions).
 pub fn resolve_round<P: MetricPoint>(
     points: &[P],
     params: &SinrParams,
@@ -284,208 +268,10 @@ mod tests {
     }
 
     #[test]
-    fn truncated_matches_exact_when_radius_covers_all() {
-        let pts: Vec<Point2> = (0..30)
-            .map(|i| Point2::new((i % 6) as f64 * 0.4, (i / 6) as f64 * 0.4))
-            .collect();
-        let grid = GridIndex::build(&pts, 1.0);
-        let p = params();
-        let tx = vec![0, 7, 13, 22];
-        let exact = resolve_round(&pts, &p, &tx, InterferenceMode::Exact, None);
-        let trunc = resolve_round(
-            &pts,
-            &p,
-            &tx,
-            InterferenceMode::Truncated { radius: 100.0 },
-            Some(&grid),
-        );
-        assert_eq!(exact, trunc);
-    }
-
-    #[test]
-    fn truncated_is_optimistic() {
-        // A far jammer is ignored by the truncated model, so a marginal
-        // reception succeeds there but fails exactly.
-        let p = SinrParams::builder().beta(1.0).eps(0.5).build(2.0).unwrap();
-        let pts = vec![
-            Point2::new(0.0, 0.0),   // tx
-            Point2::new(0.999, 0.0), // marginal receiver
-            Point2::new(3.0, 0.0),   // jammer outside truncation radius 1.5
-        ];
-        let grid = GridIndex::build(&pts, 1.0);
-        let exact = resolve_round(&pts, &p, &[0, 2], InterferenceMode::Exact, None);
-        let trunc = resolve_round(
-            &pts,
-            &p,
-            &[0, 2],
-            InterferenceMode::Truncated { radius: 1.5 },
-            Some(&grid),
-        );
-        assert_eq!(exact.decoded_from[1], None);
-        assert_eq!(trunc.decoded_from[1], Some(0));
-    }
-
-    #[test]
-    fn cell_aggregate_matches_exact_decisions_on_spread_network() {
-        // Random-ish spread-out network; decode decisions must match the
-        // exact oracle (the far-field approximation only perturbs the
-        // interference tail, a few percent at most).
-        let pts: Vec<Point2> = (0..200)
-            .map(|i| {
-                let x = (i % 20) as f64 * 0.9 + ((i * 7) % 5) as f64 * 0.11;
-                let y = (i / 20) as f64 * 0.9 + ((i * 13) % 7) as f64 * 0.07;
-                Point2::new(x, y)
-            })
-            .collect();
-        let grid = GridIndex::build(&pts, 1.0);
-        let p = params();
-        let tx: Vec<usize> = (0..200).step_by(9).collect();
-        let exact = resolve_round(&pts, &p, &tx, InterferenceMode::Exact, None);
-        let agg = resolve_round(
-            &pts,
-            &p,
-            &tx,
-            InterferenceMode::CellAggregate { near_radius: 4.0 },
-            Some(&grid),
-        );
-        let disagreements = exact
-            .decoded_from
-            .iter()
-            .zip(&agg.decoded_from)
-            .filter(|(a, b)| a != b)
-            .count();
-        assert_eq!(
-            disagreements, 0,
-            "cell aggregation flipped {disagreements} decode decisions"
-        );
-    }
-
-    // The reference replication of the oracle's cell partition uses a
-    // HashMap on purpose: only *aggregate totals* are compared, so order
-    // cannot matter here (clippy.toml bans the type workspace-wide).
-    #[allow(clippy::disallowed_types)]
-    #[test]
-    fn cell_aggregate_interference_error_is_small() {
-        // Compare total received power (signal sums) between exact and
-        // aggregated far fields at a probe receiver.
-        let pts: Vec<Point2> = (0..300)
-            .map(|i| Point2::new((i % 30) as f64 * 0.7, (i / 30) as f64 * 0.7))
-            .collect();
-        let p = params();
-        let tx: Vec<usize> = (0..300).step_by(4).collect();
-        // Replicate the oracle's partition: near cells (centroid within
-        // near_radius + diag) exact, far cells one aggregate at the
-        // centroid — and compare the resulting TOTAL received power at a
-        // probe receiver against the fully exact total.
-        let u = 0usize;
-        let near_radius = 4.0;
-        let cell = 1.0f64;
-        let diag = cell * 2.0f64.sqrt();
-        let exact_total: f64 = tx
-            .iter()
-            .filter(|&&t| t != u)
-            .map(|&t| p.signal_at(pts[t].distance(&pts[u])))
-            .sum();
-        let mut cells: std::collections::HashMap<(i64, i64), (f64, f64, Vec<usize>)> =
-            Default::default();
-        for &t in &tx {
-            let key = (
-                (pts[t].x / cell).floor() as i64,
-                (pts[t].y / cell).floor() as i64,
-            );
-            let e = cells.entry(key).or_insert((0.0, 0.0, Vec::new()));
-            e.0 += pts[t].x;
-            e.1 += pts[t].y;
-            e.2.push(t);
-        }
-        let approx_total: f64 = cells
-            .values()
-            .map(|(x, y, members)| {
-                let k = members.len() as f64;
-                let c = Point2::new(x / k, y / k);
-                let dc = c.distance(&pts[u]);
-                if dc > near_radius + diag {
-                    k * p.signal_at(dc)
-                } else {
-                    members
-                        .iter()
-                        .filter(|&&t| t != u)
-                        .map(|&t| p.signal_at(pts[t].distance(&pts[u])))
-                        .sum()
-                }
-            })
-            .sum();
-        let rel = (approx_total - exact_total).abs() / exact_total.max(1e-12);
-        assert!(rel < 0.05, "total received power relative error {rel}");
-    }
-
-    #[test]
-    #[should_panic]
-    fn cell_aggregate_rejects_small_near_radius() {
-        let pts = vec![Point2::origin()];
-        let grid = GridIndex::build(&pts, 1.0);
-        let _ = resolve_round(
-            &pts,
-            &params(),
-            &[0],
-            InterferenceMode::CellAggregate { near_radius: 1.0 },
-            Some(&grid),
-        );
-    }
-
-    #[test]
-    #[should_panic]
-    fn truncated_requires_grid() {
-        let pts = vec![Point2::origin()];
-        let _ = resolve_round(
-            &pts,
-            &params(),
-            &[0],
-            InterferenceMode::Truncated { radius: 2.0 },
-            None,
-        );
-    }
-
-    #[test]
     #[should_panic]
     fn out_of_range_transmitter_panics() {
         let pts = vec![Point2::origin()];
         let _ = resolve_round(&pts, &params(), &[3], InterferenceMode::Exact, None);
-    }
-
-    #[test]
-    fn cell_aggregate_is_deterministic_across_runs() {
-        // Regression test: the historical implementation iterated a std
-        // `HashMap` of transmitter cells, whose order differs between
-        // instances (randomised hasher keys), so the floating-point
-        // interference sums — and decode outcomes near the β threshold —
-        // could differ between two runs of the same input *in the same
-        // process*. Cells are now iterated in sorted-key order; both the
-        // decode decisions and the raw power sums must be bit-identical.
-        let pts: Vec<Point2> = (0..300)
-            .map(|i| {
-                let x = (i % 25) as f64 * 0.63 + ((i * 11) % 9) as f64 * 0.041;
-                let y = (i / 25) as f64 * 0.63 + ((i * 17) % 13) as f64 * 0.029;
-                Point2::new(x, y)
-            })
-            .collect();
-        let grid = GridIndex::build(&pts, 1.0);
-        let p = params();
-        let tx: Vec<usize> = (0..300).step_by(4).collect();
-        let mode = InterferenceMode::CellAggregate { near_radius: 4.0 };
-        let mut a = ReceptionOracle::new();
-        let mut b = ReceptionOracle::new();
-        let out_a = a.resolve(&pts, &p, &tx, mode, Some(&grid));
-        let out_b = b.resolve(&pts, &p, &tx, mode, Some(&grid));
-        assert_eq!(out_a, out_b);
-        for (u, (x, y)) in a
-            .received_power()
-            .iter()
-            .zip(b.received_power())
-            .enumerate()
-        {
-            assert_eq!(x.to_bits(), y.to_bits(), "total power differs at {u}");
-        }
     }
 
     #[test]
@@ -494,6 +280,22 @@ mod tests {
             InterferenceMode::grid_native(),
             InterferenceMode::GridNative { near_radius: 4.0 }
         );
+    }
+
+    #[test]
+    fn validate_accepts_the_minimum_and_rejects_below_it_and_nan() {
+        assert_eq!(InterferenceMode::Exact.validate(), Ok(()));
+        assert_eq!(InterferenceMode::grid_native().validate(), Ok(()));
+        assert_eq!(
+            InterferenceMode::GridNative { near_radius: 2.0 }.validate(),
+            Ok(())
+        );
+        for bad in [1.5, f64::NAN, f64::NEG_INFINITY] {
+            let err = InterferenceMode::GridNative { near_radius: bad }
+                .validate()
+                .unwrap_err();
+            assert!(err.contains("near radius"), "{err}");
+        }
     }
 
     #[test]

@@ -68,12 +68,7 @@ fn steady_state_round_resolution_allocates_nothing() {
     // reallocate either (capacity high-water mark).
     let tx_big: Vec<usize> = (0..n).step_by(4).collect();
     let tx_small: Vec<usize> = (0..n).step_by(17).collect();
-    let modes = [
-        InterferenceMode::Exact,
-        InterferenceMode::Truncated { radius: 4.0 },
-        InterferenceMode::CellAggregate { near_radius: 4.0 },
-        InterferenceMode::grid_native(),
-    ];
+    let modes = [InterferenceMode::Exact, InterferenceMode::grid_native()];
 
     let mut oracle = ReceptionOracle::new();
     let mut out = RoundOutcome::empty();

@@ -117,29 +117,6 @@ fn interference_below_total_signal() {
     }
 }
 
-/// Exact and truncated modes agree whenever the truncation radius covers
-/// the whole deployment.
-#[test]
-fn truncation_with_full_radius_is_exact() {
-    let params = SinrParams::default_plane();
-    for case in 0..CASES {
-        let mut rng = SmallRng::seed_from_u64(0xA0_3001 + case);
-        let pts = random_points(&mut rng, 20);
-        let n = pts.len();
-        let tx: Vec<usize> = (0..n).step_by(4).collect();
-        let grid = sinr_geometry::GridIndex::build(&pts, 1.0);
-        let exact = resolve_round(&pts, &params, &tx, InterferenceMode::Exact, None);
-        let trunc = resolve_round(
-            &pts,
-            &params,
-            &tx,
-            InterferenceMode::Truncated { radius: 100.0 },
-            Some(&grid),
-        );
-        assert_eq!(exact, trunc, "case {case}");
-    }
-}
-
 /// Reception requires being within the unit communication range: no
 /// station ever decodes a transmitter farther than 1.
 #[test]

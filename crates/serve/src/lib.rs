@@ -18,6 +18,14 @@
 //! engine** — and always still receives every `report`, which travels
 //! on a separate unbounded control channel whose sends never block.
 //!
+//! # Failure isolation
+//!
+//! Specs are validated at `submit`, so a bad one is an `error` event for
+//! the submitting client and never reaches a worker. A trial that still
+//! fails — a scenario error, or a panic in a generator or the engine —
+//! becomes an `error` event for its job; the job still ends with `done`,
+//! and the worker carries on with a fresh arena.
+//!
 //! # Determinism
 //!
 //! A trial's report is a pure function of `(spec, seed)` — arena reuse,
@@ -35,9 +43,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use std::any::Any;
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Condvar, Mutex};
@@ -321,12 +331,37 @@ fn run_trial(trial: &Trial, arena: &mut EngineArena) {
     }
 }
 
+/// The message of a caught panic payload (`panic!` with a literal or a
+/// format string; anything else is reported generically).
+fn panic_message(payload: &(dyn Any + Send)) -> &str {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        s
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s
+    } else {
+        "non-string panic payload"
+    }
+}
+
 fn worker(shared: &Shared) {
     // The persistent arena: trials of *different* jobs landing on this
     // worker reuse the same oracle/pool/outcome/scratch allocations.
     let mut arena = EngineArena::new();
     while let Some(trial) = shared.next_trial() {
-        run_trial(&trial, &mut arena);
+        // A panicking trial (a spec that passes `build()` but trips an
+        // assert deeper down) becomes that trial's `error` event; the
+        // worker survives with a fresh arena, and `remaining` still
+        // counts the trial so subscribers get their `done`.
+        let ran = panic::catch_unwind(AssertUnwindSafe(|| run_trial(&trial, &mut arena)));
+        if let Err(payload) = ran {
+            arena = EngineArena::new();
+            trial.job.fan_control(&error_line(&format!(
+                "job {} seed {}: trial panicked: {}",
+                trial.job.id,
+                trial.seed,
+                panic_message(payload.as_ref())
+            )));
+        }
         if trial.job.remaining.fetch_sub(1, Ordering::SeqCst) == 1 {
             trial.job.finish();
         }

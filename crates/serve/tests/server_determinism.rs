@@ -2,10 +2,14 @@
 //! are byte-identical to in-process runs, for any number of concurrent
 //! clients and subscribers.
 
+use std::sync::mpsc;
 use std::thread;
+use std::time::Duration;
 
 use sinr_core::sim::{ProtocolSpec, ScenarioSpec, TopologySpec};
+use sinr_phy::InterferenceMode;
 use sinr_serve::{reference_report, request_shutdown, Client, Server};
+use sinr_wire::Value;
 
 fn test_spec() -> ScenarioSpec {
     let mut spec = ScenarioSpec::new(
@@ -129,10 +133,68 @@ fn bad_submissions_fail_fast_with_error_events() {
         "invalid spec must be rejected at submit"
     );
 
+    // An interference mode the network would reject: caught by build()
+    // at submit, not by a panicking worker.
+    let mut spec = test_spec();
+    spec.mode = InterferenceMode::GridNative { near_radius: 1.5 };
+    client.submit(&spec, &[1], false).expect("submit");
+    let event = client.next_event().expect("read").expect("event");
+    assert_eq!(event.kind, "error", "near_radius 1.5 must be rejected");
+
     // And the connection still works afterwards.
     client.send_line("{\"op\":\"ping\"}").expect("ping");
     let event = client.next_event().expect("read").expect("event");
     assert_eq!(event.kind, "pong");
+
+    request_shutdown(addr).expect("shutdown");
+    server_thread.join().expect("server thread");
+}
+
+#[test]
+fn panicking_trial_yields_error_then_done_and_the_worker_survives() {
+    // One worker: if the panic killed it, the valid job below would be
+    // accepted and never run.
+    let server = Server::bind("127.0.0.1:0", 1).expect("bind");
+    let addr = server.local_addr().expect("addr");
+    let server_thread = thread::spawn(move || server.run().expect("server run"));
+    let mut client = Client::connect(addr).expect("connect");
+
+    // Passes build(), then panics in the uniform generator's assert.
+    let mut bad = test_spec();
+    bad.topology = TopologySpec::UniformSquare { n: 30, side: -2.0 };
+    client.submit(&bad, &[5], false).expect("submit");
+    let job = client.expect_accepted().expect("accepted");
+    // Read on another thread with a bounded wait: if the panic took the
+    // worker down, `done` never comes and the test must fail, not hang.
+    let (kinds_tx, kinds_rx) = mpsc::channel();
+    let reader = thread::spawn(move || {
+        let mut kinds = Vec::new();
+        while let Some(event) = client.next_event().expect("read") {
+            if event.body.get("job").and_then(Value::as_u64) == Some(job) || event.kind == "error" {
+                kinds.push(event.kind.clone());
+            }
+            if event.kind == "done" {
+                break;
+            }
+        }
+        let _ = kinds_tx.send(kinds);
+        client
+    });
+    let kinds = kinds_rx
+        .recv_timeout(Duration::from_secs(60))
+        .expect("no `done` within 60 s: the panicking trial took its worker down");
+    assert_eq!(kinds, ["error", "done"], "panicking trial");
+    let mut client = reader.join().expect("reader thread");
+
+    let spec = test_spec();
+    client.submit(&spec, &[11], false).expect("submit");
+    let job = client.expect_accepted().expect("accepted");
+    let result = client.collect_job(job).expect("collect");
+    assert_eq!(
+        result.report_for(11).expect("report"),
+        reference_report(&spec, 11).expect("in-process run"),
+        "the surviving worker's report differs from an in-process run"
+    );
 
     request_shutdown(addr).expect("shutdown");
     server_thread.join().expect("server thread");

@@ -4,8 +4,8 @@
 use sinr_broadcast::core::Constants;
 use sinr_broadcast::geometry::Point2;
 use sinr_broadcast::netgen::{cluster, line, uniform};
-use sinr_broadcast::phy::SinrParams;
-use sinr_broadcast::sim::{ProtocolSpec, Scenario};
+use sinr_broadcast::phy::{InterferenceMode, SinrParams};
+use sinr_broadcast::sim::{ProtocolSpec, Scenario, SimError};
 
 fn fast() -> Constants {
     Constants {
@@ -134,7 +134,7 @@ fn out_of_range_source_is_a_spec_error() {
     )
     .run(1)
     .unwrap_err();
-    assert!(matches!(err, sinr_broadcast::sim::SimError::Spec(_)));
+    assert!(matches!(err, SimError::Spec(_)));
 }
 
 #[test]
@@ -144,5 +144,40 @@ fn missing_budget_is_a_build_error() {
         .build()
         .err()
         .expect("goal-driven protocol without budget must not build");
-    assert!(matches!(err, sinr_broadcast::sim::SimError::MissingBudget));
+    assert!(matches!(err, SimError::MissingBudget));
+}
+
+#[test]
+fn out_of_range_knobs_are_build_errors_not_run_panics() {
+    let build = |mode: InterferenceMode, spec: ProtocolSpec| {
+        Scenario::new(line::uniform_line(4, 0.45))
+            .protocol(spec)
+            .interference_mode(mode)
+            .budget(1000)
+            .build()
+    };
+    let sbcast = ProtocolSpec::SBroadcast { source: 0 };
+    for near_radius in [1.5, f64::NAN] {
+        let err = build(InterferenceMode::GridNative { near_radius }, sbcast.clone())
+            .err()
+            .expect("near radius below 2 must not build");
+        assert!(matches!(err, SimError::Spec(_)), "{near_radius}: {err}");
+    }
+    for p in [0.0, 2.0, f64::NAN] {
+        let err = build(
+            InterferenceMode::Exact,
+            ProtocolSpec::FloodBroadcast { source: 0, p },
+        )
+        .err()
+        .expect("flood probability outside (0, 1] must not build");
+        assert!(matches!(err, SimError::Spec(_)), "p = {p}: {err}");
+    }
+    // The boundary values still build and run.
+    build(
+        InterferenceMode::GridNative { near_radius: 2.0 },
+        ProtocolSpec::FloodBroadcast { source: 0, p: 1.0 },
+    )
+    .expect("boundary knobs are valid")
+    .run(1)
+    .expect("runs");
 }

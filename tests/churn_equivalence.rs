@@ -34,13 +34,8 @@ fn families() -> Vec<(&'static str, Vec<Point2>)> {
     ]
 }
 
-fn all_modes() -> [InterferenceMode; 4] {
-    [
-        InterferenceMode::Exact,
-        InterferenceMode::Truncated { radius: 4.0 },
-        InterferenceMode::CellAggregate { near_radius: 4.0 },
-        InterferenceMode::grid_native(),
-    ]
+fn all_modes() -> [InterferenceMode; 2] {
+    [InterferenceMode::Exact, InterferenceMode::grid_native()]
 }
 
 /// Applies one delta to a manually maintained (points, alive) pair the

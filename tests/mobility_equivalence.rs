@@ -43,13 +43,8 @@ fn models() -> [MobilityModel; 3] {
     ]
 }
 
-fn all_modes() -> [InterferenceMode; 4] {
-    [
-        InterferenceMode::Exact,
-        InterferenceMode::Truncated { radius: 4.0 },
-        InterferenceMode::CellAggregate { near_radius: 4.0 },
-        InterferenceMode::grid_native(),
-    ]
+fn all_modes() -> [InterferenceMode; 2] {
+    [InterferenceMode::Exact, InterferenceMode::grid_native()]
 }
 
 #[test]

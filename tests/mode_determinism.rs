@@ -1,13 +1,11 @@
 //! Determinism contract of the reception oracle across interference modes.
 //!
 //! Same seed ⇒ byte-identical `RunReport`, across repeated runs and across
-//! sweep thread counts, in **every** `InterferenceMode` — including
-//! `CellAggregate`, whose pre-oracle implementation iterated a std
-//! `HashMap` of transmitter cells in nondeterministic order (randomised
-//! hasher keys), so identical runs could disagree near the β threshold.
-//! The oracle's sorted flat cell buckets make the floating-point sums a
-//! pure function of the input, which this file pins at the full-protocol
-//! level (`tests/scenario_golden.rs` pins the legacy-equivalence side).
+//! sweep and physics thread counts, in both `InterferenceMode`s: `Exact`
+//! and `GridNative`, whose sorted flat cell buckets make the
+//! floating-point sums a pure function of the input. This file pins that
+//! at the full-protocol level (`tests/scenario_golden.rs` pins the
+//! legacy-equivalence side).
 
 use sinr_broadcast::core::sim::{ChurnSpec, MobilitySpec, ProtocolSpec, Scenario, TopologySpec};
 use sinr_broadcast::core::Constants;
@@ -23,20 +21,14 @@ fn fast() -> Constants {
     }
 }
 
-fn all_modes() -> [InterferenceMode; 4] {
-    [
-        InterferenceMode::Exact,
-        InterferenceMode::Truncated { radius: 4.0 },
-        InterferenceMode::CellAggregate { near_radius: 4.0 },
-        InterferenceMode::grid_native(),
-    ]
+fn all_modes() -> [InterferenceMode; 2] {
+    [InterferenceMode::Exact, InterferenceMode::grid_native()]
 }
 
 #[test]
 fn every_mode_is_bit_for_bit_reproducible_and_thread_invariant() {
-    // A generated deployment spanning many grid cells, so the aggregate
-    // modes build non-trivial cell buckets (the regime the historical
-    // nondeterminism lived in).
+    // A generated deployment spanning many grid cells, so grid-native
+    // builds non-trivial cell buckets.
     for mode in all_modes() {
         let sim = Scenario::new(TopologySpec::ConnectedSquareDensity {
             n: 80,

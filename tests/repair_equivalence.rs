@@ -30,13 +30,8 @@ use sinr_broadcast::netgen::uniform;
 use sinr_broadcast::phy::{CommGraph, InterferenceMode, ReceptionOracle, RoundOutcome, SinrParams};
 use sinr_broadcast::sim::{ChurnSpec, MobilitySpec, ProtocolSpec, Scenario, TopologySpec};
 
-fn all_modes() -> [InterferenceMode; 4] {
-    [
-        InterferenceMode::Exact,
-        InterferenceMode::Truncated { radius: 4.0 },
-        InterferenceMode::CellAggregate { near_radius: 4.0 },
-        InterferenceMode::grid_native(),
-    ]
+fn all_modes() -> [InterferenceMode; 2] {
+    [InterferenceMode::Exact, InterferenceMode::grid_native()]
 }
 
 /// One random mutation step over (points, alive): moves some live

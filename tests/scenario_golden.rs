@@ -181,11 +181,7 @@ fn baselines_match_legacy() {
 #[test]
 fn interference_mode_matches_legacy() {
     let params = SinrParams::default_plane();
-    for mode in [
-        InterferenceMode::Exact,
-        InterferenceMode::Truncated { radius: 4.0 },
-        InterferenceMode::CellAggregate { near_radius: 4.0 },
-    ] {
+    for mode in [InterferenceMode::Exact, InterferenceMode::grid_native()] {
         let legacy =
             run_s_broadcast_in_mode(path(6), &params, fast(), 0, mode, 19, 500_000).unwrap();
         let new = Scenario::new(path(6))
