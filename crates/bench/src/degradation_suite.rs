@@ -24,13 +24,13 @@
 //! `examples/adversarial_broadcast.rs` for the pinned single-seed
 //! story).
 
+use sinr_core::sim::{AdversarySpec, ProtocolSpec, Scenario, TopologySpec};
 use sinr_core::NuEstimator;
 use sinr_netgen::uniform;
 use sinr_phy::{GraphScratch, Network, SinrParams};
 use sinr_runtime::{
     BlackoutAdversary, FaultDelta, FaultPlan, FaultPlanSet, FaultView, JamAdversary,
 };
-use sinr_sim::{AdversarySpec, ProtocolSpec, Scenario, TopologySpec};
 use sinr_stats::{fmt_f64, Table};
 
 use crate::microbench::{black_box, Session};
@@ -190,6 +190,7 @@ pub fn curve_table() -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sinr_core::sim::RunReport;
 
     #[test]
     fn curve_table_separates_the_strategies() {
@@ -224,7 +225,7 @@ mod tests {
         };
         let fixed = build(false).run(2014).expect("fixed run");
         let online = build(true).run(2014).expect("online run");
-        let cover = |r: &sinr_sim::RunReport| r.faults.as_ref().expect("faulted").final_coverage();
+        let cover = |r: &RunReport| r.faults.as_ref().expect("faulted").final_coverage();
         assert!(cover(&fixed) < 0.95, "fixed-ν must stall under the kill");
         assert!(cover(&online) >= 0.95, "online-ν must keep coverage");
     }

@@ -9,9 +9,9 @@
 //! Lemma 2 floor collapses. This is the paper's central algorithmic point:
 //! a unit-ball density test alone cannot see the geometry inside the ball.
 
+use sinr_core::sim::{Outcome, ProtocolSpec, Scenario, TopologySpec};
 use sinr_core::{invariant_report, Constants};
 use sinr_phy::SinrParams;
-use sinr_sim::{Outcome, ProtocolSpec, Scenario, TopologySpec};
 use sinr_stats::{fmt_f64, Table};
 
 use crate::{sweep_cell, ExpConfig};

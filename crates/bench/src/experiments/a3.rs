@@ -10,8 +10,8 @@
 //! outcomes: every row should track exact rounds closely, since the tail
 //! is estimated, not dropped.
 
+use sinr_core::sim::{ProtocolSpec, Scenario, TopologySpec};
 use sinr_phy::InterferenceMode;
-use sinr_sim::{ProtocolSpec, Scenario, TopologySpec};
 use sinr_stats::{fmt_f64, Table};
 
 use crate::{sweep_cell, ExpConfig};

@@ -5,8 +5,8 @@
 //! *work* the procedure performs (mean transmissions per station), sweeping
 //! `n` on connected uniform squares of constant density.
 
+use sinr_core::sim::{Outcome, ProtocolSpec, Scenario, TopologySpec};
 use sinr_core::{log2n, Constants};
-use sinr_sim::{Outcome, ProtocolSpec, Scenario, TopologySpec};
 use sinr_stats::{fmt_f64, Summary, Table};
 
 use crate::{sweep_cell, ExpConfig};

@@ -5,8 +5,8 @@
 //! `O(D log² ν)`. Inflating ν by powers of 4 should slow the broadcast by
 //! (poly)logarithmic factors only — and never break it.
 
+use sinr_core::sim::{ProtocolSpec, Scenario, TopologySpec};
 use sinr_core::{log2n, Constants};
-use sinr_sim::{ProtocolSpec, Scenario, TopologySpec};
 use sinr_stats::fmt_f64;
 
 use crate::{sweep_table, ExpConfig, SweepRow};

@@ -7,7 +7,7 @@
 //! half its own level. The bridge funnels all traffic through a thin
 //! corridor bathed in blob interference.
 
-use sinr_sim::{ProtocolSpec, Scenario, TopologySpec};
+use sinr_core::sim::{ProtocolSpec, Scenario, TopologySpec};
 
 use crate::{sweep_table, ExpConfig, SweepRow};
 

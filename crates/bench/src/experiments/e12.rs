@@ -6,8 +6,8 @@
 //! across the topology families. The paper's thesis: the gap is at most
 //! polylogarithmic — geometry knowledge changes constants, not the shape.
 
+use sinr_core::sim::{ProtocolSpec, Scenario, TopologySpec};
 use sinr_phy::SinrParams;
-use sinr_sim::{ProtocolSpec, Scenario, TopologySpec};
 use sinr_stats::{fmt_f64, Table};
 
 use crate::{sweep_cell, ExpConfig};

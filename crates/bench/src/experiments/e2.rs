@@ -4,9 +4,9 @@
 
 use std::collections::BTreeMap;
 
+use sinr_core::sim::{Outcome, ProtocolSpec, Scenario, TopologySpec};
 use sinr_core::{invariant_report, Constants};
 use sinr_phy::SinrParams;
-use sinr_sim::{Outcome, ProtocolSpec, Scenario, TopologySpec};
 use sinr_stats::{fmt_f64, Summary, Table};
 
 use crate::{sweep_cell, ExpConfig};

@@ -4,8 +4,8 @@
 //! measured rounds against the feature `D·log² n` should be proportional
 //! (flat ratio, high R²).
 
+use sinr_core::sim::{ProtocolSpec, Scenario, TopologySpec};
 use sinr_core::{log2n, Constants};
-use sinr_sim::{ProtocolSpec, Scenario, TopologySpec};
 use sinr_stats::{fit_proportional, fmt_f64, Table};
 
 use crate::{sweep_cell, ExpConfig};

@@ -7,8 +7,8 @@
 //! `Θ(log n)` factor at large `D` (the paper's motivation for the
 //! spontaneous model).
 
+use sinr_core::sim::{ProtocolSpec, Scenario, TopologySpec};
 use sinr_core::{log2n, Constants};
-use sinr_sim::{ProtocolSpec, Scenario, TopologySpec};
 use sinr_stats::{fit_least_squares, fmt_f64, Table};
 
 use crate::{sweep_cell, ExpConfig};

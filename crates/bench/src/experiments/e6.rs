@@ -7,10 +7,10 @@
 //! magnitude and compare `SBroadcast` with the decay-class baseline, which
 //! must cycle `Θ(α·log R_s)` probability classes.
 
+use sinr_core::sim::{ProtocolSpec, Scenario, TopologySpec};
 use sinr_core::Constants;
 use sinr_netgen::validate;
 use sinr_phy::SinrParams;
-use sinr_sim::{ProtocolSpec, Scenario, TopologySpec};
 use sinr_stats::{fmt_f64, Table};
 
 use crate::{sweep_cell, ExpConfig};

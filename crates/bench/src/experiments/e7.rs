@@ -2,9 +2,9 @@
 //! (`O(D log n·log x + log² n·log x)`), and leader election
 //! (`O(D log² n + log³ n)`).
 
+use sinr_core::sim::{Outcome, ProtocolSpec, Scenario, TopologySpec};
 use sinr_core::{consensus::domain_bits, Constants};
 use sinr_runtime::WakeSchedule;
-use sinr_sim::{Outcome, ProtocolSpec, Scenario, TopologySpec};
 use sinr_stats::{fmt_f64, Summary, Table};
 
 use crate::{sweep_cell, trial_seeds, ExpConfig};

@@ -2,8 +2,8 @@
 //! algorithms succeed within their asymptotic budgets in (nearly) all
 //! trials, and the failure rate does not grow with `n`.
 
+use sinr_core::sim::{ProtocolSpec, Scenario, TopologySpec};
 use sinr_core::Constants;
-use sinr_sim::{ProtocolSpec, Scenario, TopologySpec};
 
 use crate::{sweep_table, ExpConfig, SweepRow};
 

@@ -7,8 +7,8 @@
 //! all regimes, and granularity-aware baselines pay for it — the coloring
 //! adapts.
 
+use sinr_core::sim::{ProtocolSpec, Scenario, TopologySpec};
 use sinr_phy::SinrParams;
-use sinr_sim::{ProtocolSpec, Scenario, TopologySpec};
 
 use crate::{sweep_table, ExpConfig, SweepRow};
 

@@ -23,9 +23,9 @@
 //! | a2 | ablation: removing Playoff breaks Lemma 2 |
 //! | a3 | ablation: interference-evaluation fidelity (exact vs grid-native `near_radius` 2 / 4 / 8) |
 //!
-//! Every experiment drives the [`sinr_sim::Scenario`] builder through the
-//! shared [`sweep_table`]/[`sweep_cell`] helpers below — the per-trial
-//! seed loops live here, once.
+//! Every experiment drives the [`sinr_core::sim::Scenario`] builder
+//! through the shared [`sweep_table`]/[`sweep_cell`] helpers below — the
+//! per-trial seed loops live here, once.
 //!
 //! Like every library crate in the workspace, this harness is pure safe
 //! Rust (`sinr-lint` rule `forbid-unsafe` checks the attribute below); it
@@ -48,7 +48,7 @@ pub mod simd_suite;
 
 pub use config::ExpConfig;
 
-use sinr_sim::{Simulation, SweepReport};
+use sinr_core::sim::{Simulation, SweepReport};
 use sinr_stats::{fmt_f64, Table};
 
 /// Deterministic per-trial seeds for row `tag` of experiment `exp`.
@@ -146,7 +146,7 @@ pub fn sweep_table(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sinr_sim::{ProtocolSpec, Scenario, TopologySpec};
+    use sinr_core::sim::{ProtocolSpec, Scenario, TopologySpec};
 
     fn tiny_sim() -> Simulation {
         Scenario::new(TopologySpec::UniformLine { n: 5, gap: 0.45 })

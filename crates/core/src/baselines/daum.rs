@@ -1,6 +1,6 @@
 //! Granularity-dependent baseline in the style of Daum, Gilbert, Kuhn &
 //! Newport, *Broadcast in the Ad Hoc SINR Model* (DISC 2013) — the paper's
-//! reference [5].
+//! reference \[5\].
 //!
 //! Their algorithm assumes stations know the network granularity `R_s` and
 //! achieves `O((D log n)·log^{α+1} R_s)` rounds by letting informed stations

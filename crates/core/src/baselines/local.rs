@@ -1,6 +1,6 @@
 //! Local-broadcast-style adaptive flooding, after Halldórsson & Mitra,
 //! *Towards Tight Bounds for Local Broadcasting* (FOMC 2012) — the paper's
-//! reference [11].
+//! reference \[11\].
 //!
 //! Each informed station starts from a very small transmission probability
 //! and doubles it after every quiet stretch, halving on congestion

@@ -24,7 +24,8 @@ impl LeaderNode {
     }
 
     /// Creates the node with a pre-drawn random `id_value` (callers draw it
-    /// from the node's RNG stream; see `run::run_leader_election`).
+    /// from the node's RNG stream; see
+    /// [`crate::sim::ProtocolSpec::LeaderElection`]).
     ///
     /// # Panics
     ///

@@ -3,7 +3,7 @@
 //! The abstract promises the coloring is "of independent interest and
 //! potential applicability to other communication tasks"; local broadcast —
 //! every station delivers its *own* message to all its communication-graph
-//! neighbours — is the canonical such task (the paper's reference [11]).
+//! neighbours — is the canonical such task (the paper's reference \[11\]).
 //! With the backbone in place, every station simply transmits its message
 //! with the Fact 11 probability `p_v·c_ε/(c_b·log n)`: Lemma 1 keeps the
 //! per-round interference bounded, Lemma 2 gives every neighbourhood a

@@ -1,16 +1,15 @@
 //! The `Scenario` builder: declarative, replayable simulations with
 //! parallel seed sweeps.
 //!
-//! This module supersedes the free-function runner zoo of [`crate::run`]
-//! (kept as deprecated wrappers). A scenario is built from four
-//! declarative pieces — a topology, a protocol, the tuned constants and
-//! the SINR parameters — and produces a [`Simulation`] whose every run is
-//! a **pure deterministic function of one explicit `u64` seed**: the seed
-//! derives the topology stream (for generated families), the per-node
-//! protocol randomness, and — when [`Scenario::mobility`] makes the
-//! topology dynamic — the motion trajectory, so any run of any sweep can
-//! be replayed bit-for-bit, regardless of how many worker threads
-//! executed it.
+//! Every protocol of the crate runs through this module. A scenario is
+//! built from four declarative pieces — a topology, a protocol, the tuned
+//! constants and the SINR parameters — and produces a [`Simulation`] whose
+//! every run is a **pure deterministic function of one explicit `u64`
+//! seed**: the seed derives the topology stream (for generated families),
+//! the per-node protocol randomness, and — when [`Scenario::mobility`]
+//! makes the topology dynamic — the motion trajectory, so any run of any
+//! sweep can be replayed bit-for-bit, regardless of how many worker
+//! threads executed it.
 //!
 //! # Mobile topologies
 //!
@@ -205,10 +204,10 @@
 //! sharding contract). The two compose under one machine thread budget,
 //! resolved once per [`Simulation`]. Observers are constructed fresh per
 //! run, so they cannot leak state across seeds either. The golden tests
-//! in `tests/scenario_golden.rs` pin the sweep properties (plus
-//! field-for-field agreement with the legacy `run_*` runners), and
-//! `tests/mode_determinism.rs` pins physics-thread invariance in both
-//! interference modes — for static and mobile topologies alike.
+//! in `tests/scenario_golden.rs` pin the sweep properties (plus literal
+//! per-protocol reports), and `tests/mode_determinism.rs` pins
+//! physics-thread invariance in both interference modes — for static and
+//! mobile topologies alike.
 
 mod adversary;
 mod churn;

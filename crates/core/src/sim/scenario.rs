@@ -26,8 +26,7 @@ use super::{
 
 /// Stream id under which run seeds derive their topology-generation seed
 /// (decorrelated from the per-node protocol streams, which use the run
-/// seed directly — matching the legacy runners bit-for-bit on explicit
-/// topologies).
+/// seed directly).
 const TOPOLOGY_STREAM: u64 = 0x544F_504F; // "TOPO"
 
 /// Stream id under which run seeds derive their mobility-trajectory seed
@@ -58,7 +57,9 @@ pub enum SimError {
     /// The protocol runs until a goal predicate holds, so it needs an
     /// explicit round budget.
     MissingBudget,
-    /// The protocol inputs do not fit the materialized network.
+    /// A knob is out of range (interference mode, mobility, churn,
+    /// adversary, protocol parameters), or the protocol inputs do not fit
+    /// the materialized network.
     Spec(String),
 }
 
@@ -71,7 +72,7 @@ impl fmt::Display for SimError {
             SimError::MissingBudget => {
                 write!(f, "protocol needs a round budget; call .budget(max_rounds)")
             }
-            SimError::Spec(msg) => write!(f, "protocol spec mismatch: {msg}"),
+            SimError::Spec(msg) => write!(f, "invalid scenario: {msg}"),
         }
     }
 }
@@ -88,6 +89,7 @@ type ObserverFactory = Arc<dyn Fn() -> Box<dyn Observer> + Send + Sync>;
 
 /// Builder for a reproducible simulation: topology + protocol + constants
 /// + SINR parameters + budget (see the [`crate::sim`] module docs).
+#[derive(Clone)]
 pub struct Scenario<P: MetricPoint = Point2> {
     topology: Arc<dyn Topology<P>>,
     protocol: Option<ProtocolSpec>,
@@ -104,28 +106,6 @@ pub struct Scenario<P: MetricPoint = Point2> {
     dispatch: KernelDispatch,
     accumulation: Accumulation,
     observers: Vec<ObserverFactory>,
-}
-
-impl<P: MetricPoint> Clone for Scenario<P> {
-    fn clone(&self) -> Self {
-        Scenario {
-            topology: Arc::clone(&self.topology),
-            protocol: self.protocol.clone(),
-            params: self.params,
-            consts: self.consts,
-            budget: self.budget,
-            mode: self.mode,
-            record: self.record,
-            physics_threads: self.physics_threads,
-            mobility: self.mobility,
-            churn: self.churn,
-            adversary: self.adversary.clone(),
-            repair: self.repair,
-            dispatch: self.dispatch,
-            accumulation: self.accumulation,
-            observers: self.observers.clone(),
-        }
-    }
 }
 
 impl<P: MetricPoint> Scenario<P> {
@@ -502,20 +482,12 @@ impl<P: MetricPoint> Scenario<P> {
 
 /// A validated, runnable scenario. Immutable and shareable across
 /// threads; every run is a pure function of its seed.
+#[derive(Clone)]
 pub struct Simulation<P: MetricPoint = Point2> {
     scenario: Scenario<P>,
     /// Machine thread budget, resolved once at [`Scenario::build`] and
     /// shared between sweep workers and per-trial physics threads.
     thread_budget: usize,
-}
-
-impl<P: MetricPoint> Clone for Simulation<P> {
-    fn clone(&self) -> Self {
-        Simulation {
-            scenario: self.scenario.clone(),
-            thread_budget: self.thread_budget,
-        }
-    }
 }
 
 impl<P: MetricPoint> Simulation<P> {
@@ -775,7 +747,7 @@ fn live_count<P: MetricPoint, Pr: Protocol>(
 
 /// Drives an engine until all live nodes satisfy `done` or `budget`
 /// rounds elapse (predicate checked *before* each round, exactly like
-/// [`Engine::run_until`] — the legacy runners' accounting).
+/// [`Engine::run_until`]).
 #[allow(clippy::too_many_arguments)]
 fn drive<P: MetricPoint, Pr: Protocol + 'static>(
     scenario: &Scenario<P>,
@@ -939,9 +911,8 @@ fn check_source(source: usize, n: usize) -> Result<(), SimError> {
 }
 
 /// Executes one run. The per-node randomness is seeded with the run seed
-/// itself (streams 0/1/2 as in the legacy runners), which is what makes
-/// the new API reproduce `run_*` outputs field-for-field on explicit
-/// topologies.
+/// itself (streams 0/1/2), so an explicit topology's report depends on
+/// the seed alone.
 fn execute<P: MetricPoint>(
     scenario: &Scenario<P>,
     net: Network<P>,
@@ -1162,18 +1133,19 @@ fn execute<P: MetricPoint>(
             check_source(source, n)?;
             // Oracle TDMA is not engine-driven; per-round observers and
             // traces do not apply (documented on the variant).
-            let rep = crate::baselines::gps::run_gps_oracle_on(&net, source, seed, budget);
+            let (rounds, informed, total_transmissions) =
+                crate::baselines::gps::run_gps_oracle_on(&net, source, seed, budget);
             let driven = Driven {
-                rounds: rep.rounds,
-                completed: rep.completed,
+                rounds,
+                completed: informed == n,
                 nodes: Vec::new(),
                 alive: Vec::new(),
-                total_transmissions: rep.total_transmissions,
+                total_transmissions,
                 per_round: None,
                 tx_counts: None,
                 faults: None,
             };
-            (driven, rep.informed, Outcome::Broadcast)
+            (driven, informed, Outcome::Broadcast)
         }
         ProtocolSpec::AdhocWakeup { schedule } => {
             let first_wake = schedule.first_wake(n).ok_or_else(|| {
@@ -1282,7 +1254,7 @@ fn execute<P: MetricPoint>(
                 total,
                 |id| {
                     // Stream 1 draws IDs; stream 0 drives the protocol
-                    // inside the engine (as in the legacy runner).
+                    // inside the engine.
                     use rand::Rng;
                     let mut rng = node_rng(seed, id as u64, 1);
                     let id_value = rng.gen_range(1..(1u64 << bits));

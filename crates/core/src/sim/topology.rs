@@ -8,8 +8,8 @@
 //! and lets seed sweeps regenerate an independent deployment per trial.
 //!
 //! Explicit point sets (any [`MetricPoint`] type) are topologies too, via
-//! the [`Topology`] impl on `Vec<P>` — that is what the legacy `run_*`
-//! wrappers and the non-planar model-variant tests use.
+//! the [`Topology`] impl on `Vec<P>` — that is what the golden tests and
+//! the non-planar model-variant tests use.
 
 use sinr_geometry::{MetricPoint, Point2};
 use sinr_netgen::{cluster, grid, line, shapes, uniform};

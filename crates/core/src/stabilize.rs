@@ -1,14 +1,12 @@
-//! Standalone execution of `StabilizeProbability` over a whole network
-//! (the spontaneous-wake-up preprocessing step, and the subject of
-//! experiments E1–E3).
+//! The per-station protocol of one `StabilizeProbability` execution (the
+//! spontaneous-wake-up preprocessing step, and the subject of experiments
+//! E1–E3). Run it over a whole network with
+//! [`crate::sim::ProtocolSpec::Coloring`].
 
-use sinr_geometry::MetricPoint;
-use sinr_phy::{Network, NetworkError, SinrParams};
-use sinr_runtime::{Engine, NodeCtx, Protocol};
+use sinr_runtime::{NodeCtx, Protocol};
 
 use crate::coloring::ColoringMachine;
 use crate::constants::Constants;
-use crate::verify::Coloring;
 
 /// A node running exactly one `StabilizeProbability` execution.
 #[derive(Debug)]
@@ -48,59 +46,11 @@ impl Protocol for StabilizeProtocol {
     }
 }
 
-/// Result of a standalone coloring run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ColoringRun {
-    /// The produced coloring (one probability per station).
-    pub coloring: Coloring,
-    /// Rounds executed (`= Constants::coloring_rounds(n)`, Fact 7).
-    pub rounds: u64,
-    /// Total transmissions across the run (energy proxy).
-    pub total_transmissions: u64,
-}
-
-/// Runs `StabilizeProbability` on all stations of a network and returns the
-/// coloring.
-///
-/// # Errors
-///
-/// Propagates [`NetworkError`] from network construction.
-pub fn run_stabilize<P: MetricPoint>(
-    points: Vec<P>,
-    params: &SinrParams,
-    consts: Constants,
-    seed: u64,
-) -> Result<ColoringRun, NetworkError> {
-    let net = Network::new(points, *params)?;
-    Ok(run_stabilize_on(net, consts, seed))
-}
-
-/// As [`run_stabilize`], over an already-constructed network.
-pub fn run_stabilize_on<P: MetricPoint>(
-    net: Network<P>,
-    consts: Constants,
-    seed: u64,
-) -> ColoringRun {
-    let n = net.len();
-    let total = ColoringMachine::total_rounds(n, &consts);
-    let mut eng = Engine::new(net, seed, |_| StabilizeProtocol::new(n, consts));
-    eng.run_rounds(total);
-    let total_transmissions = eng.trace().total_transmissions();
-    let colors = eng
-        .into_nodes()
-        .iter()
-        .map(|p| p.machine().color().expect("schedule complete"))
-        .collect();
-    ColoringRun {
-        coloring: Coloring::new(colors),
-        rounds: total,
-        total_transmissions,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sim::{Outcome, ProtocolSpec, RunReport, Scenario};
+    use crate::verify::Coloring;
     use sinr_geometry::Point2;
 
     fn small_consts() -> Constants {
@@ -112,43 +62,54 @@ mod tests {
         }
     }
 
+    fn run(pts: Vec<Point2>, seed: u64) -> RunReport {
+        Scenario::new(pts)
+            .constants(small_consts())
+            .protocol(ProtocolSpec::Coloring)
+            .build()
+            .unwrap()
+            .run(seed)
+            .unwrap()
+    }
+
+    fn coloring(report: &RunReport) -> &Coloring {
+        match &report.outcome {
+            Outcome::Coloring { coloring } => coloring,
+            other => panic!("expected a coloring outcome, got {other:?}"),
+        }
+    }
+
     #[test]
     fn run_length_matches_fact7_schedule() {
-        let params = SinrParams::default_plane();
         let pts: Vec<Point2> = (0..12).map(|i| Point2::new(i as f64 * 0.3, 0.0)).collect();
-        let consts = small_consts();
-        let run = run_stabilize(pts, &params, consts, 7).unwrap();
-        assert_eq!(run.rounds, consts.coloring_rounds(12));
-        assert_eq!(run.coloring.len(), 12);
+        let report = run(pts, 7);
+        assert_eq!(report.rounds, small_consts().coloring_rounds(12));
+        assert_eq!(coloring(&report).len(), 12);
     }
 
     #[test]
     fn every_station_gets_a_color() {
-        let params = SinrParams::default_plane();
         let pts: Vec<Point2> = (0..10).map(|i| Point2::new(i as f64 * 0.25, 0.0)).collect();
-        let run = run_stabilize(pts, &params, small_consts(), 3).unwrap();
-        assert!(run.coloring.colors.iter().all(|&c| c > 0.0));
+        let report = run(pts, 3);
+        assert!(coloring(&report).colors.iter().all(|&c| c > 0.0));
     }
 
     #[test]
     fn deterministic_in_seed() {
-        let params = SinrParams::default_plane();
         let pts: Vec<Point2> = (0..8).map(|i| Point2::new(i as f64 * 0.3, 0.0)).collect();
-        let a = run_stabilize(pts.clone(), &params, small_consts(), 11).unwrap();
-        let b = run_stabilize(pts.clone(), &params, small_consts(), 11).unwrap();
-        let c = run_stabilize(pts, &params, small_consts(), 12).unwrap();
+        let a = run(pts.clone(), 11);
+        let b = run(pts.clone(), 11);
+        let c = run(pts, 12);
         assert_eq!(a, b);
         // Different seed virtually always yields some difference in
         // transmissions (not asserted on colors, which may coincide).
-        assert!(a.total_transmissions != c.total_transmissions || a.coloring != c.coloring);
+        assert!(a.total_transmissions != c.total_transmissions || coloring(&a) != coloring(&c));
     }
 
     #[test]
     fn lone_station_terminal_color() {
-        let params = SinrParams::default_plane();
-        let consts = small_consts();
-        let run = run_stabilize(vec![Point2::origin()], &params, consts, 1).unwrap();
+        let report = run(vec![Point2::origin()], 1);
         // Never hears anything: keeps doubling to the terminal color.
-        assert_eq!(run.coloring.colors[0], 2.0 * consts.p_max());
+        assert_eq!(coloring(&report).colors[0], 2.0 * small_consts().p_max());
     }
 }

@@ -5,7 +5,8 @@
 //! constants — the lemmas promise *some* constants C₁, C₂ independent of n
 //! and topology; experiments E2/E3 chart the exact values.
 
-use sinr_core::{invariant_report, run_stabilize, Constants};
+use sinr_core::sim::{Outcome, ProtocolSpec, Scenario};
+use sinr_core::{invariant_report, Constants};
 use sinr_netgen::{cluster, line, uniform};
 use sinr_phy::SinrParams;
 
@@ -25,8 +26,18 @@ fn check(points: Vec<sinr_geometry::Point2>, label: &str, seed: u64) {
     let params = SinrParams::default_plane();
     let consts = Constants::tuned();
     let n = points.len();
-    let run = run_stabilize(points.clone(), &params, consts, seed).expect("network valid");
-    let report = invariant_report(&points, &run.coloring, params.eps());
+    let run = Scenario::new(points.clone())
+        .params(params)
+        .constants(consts)
+        .protocol(ProtocolSpec::Coloring)
+        .build()
+        .expect("valid scenario")
+        .run(seed)
+        .expect("network valid");
+    let Outcome::Coloring { coloring } = run.outcome else {
+        panic!("expected coloring outcome, got {:?}", run.outcome);
+    };
+    let report = invariant_report(&points, &coloring, params.eps());
     eprintln!(
         "[{label}] n={n} colors={} lemma1={:.3} lemma2={:.4}",
         report.num_colors, report.max_unit_ball_mass, report.min_close_mass

@@ -131,7 +131,7 @@ impl Default for Config {
         let v = |names: &[&str]| names.iter().map(|s| s.to_string()).collect();
         Config {
             deterministic_crates: v(&[
-                "geometry", "phy", "runtime", "netgen", "core", "sim", "wire", "serve",
+                "geometry", "phy", "runtime", "netgen", "core", "wire", "serve",
             ]),
             wallclock_exempt_crates: v(&["bench", "serve"]),
             hot_crates: v(&["phy", "geometry", "runtime"]),

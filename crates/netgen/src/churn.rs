@@ -1,7 +1,7 @@
 //! Seed-deterministic population churn for dynamic-network experiments.
 //!
 //! A [`ChurnProcess`] owns the stochastic state of one trial's station
-//! lifecycle and emits one [`ChurnDelta`](sinr_phy::ChurnDelta) per epoch:
+//! lifecycle and emits one [`ChurnDelta`] per epoch:
 //!
 //! * **departures** — every live station dies independently with
 //!   probability `1 / mean_lifetime` per epoch (geometric lifetimes, the

@@ -6,9 +6,9 @@
 //!
 //! * [`uniform`] — uniform random deployments in squares and disks (the
 //!   "average case");
-//! * [`line`] — line networks, including the paper's footnote-2 adversarial
-//!   construction with geometrically shrinking gaps and therefore
-//!   **exponential granularity** `R_s`;
+//! * [`line`](mod@line) — line networks, including the paper's footnote-2
+//!   adversarial construction with geometrically shrinking gaps and
+//!   therefore **exponential granularity** `R_s`;
 //! * [`cluster`] — Gaussian clusters and *chains of clusters*, which give
 //!   precise control over the communication-graph diameter `D` while
 //!   keeping density high inside clusters (the dense–sparse hybrids the
@@ -51,8 +51,8 @@
 //! ```
 //!
 //! Simulations plug the same models in declaratively through
-//! `sinr_sim::MobilitySpec` / `Scenario::mobility`, which rebuilds the
-//! spatial index in place at every epoch boundary.
+//! `sinr_core::sim::MobilitySpec` / `Scenario::mobility`, which rebuilds
+//! the spatial index in place at every epoch boundary.
 //!
 //! # Churn
 //!
@@ -82,9 +82,10 @@
 //! assert!(net.live_count() <= net.len());
 //! ```
 //!
-//! Simulations plug churn in declaratively through `sinr_sim::ChurnSpec`
-//! / `Scenario::churn`, which seeds the process from the run seed on its
-//! own stream and composes it with mobility and parallel sweeps.
+//! Simulations plug churn in declaratively through
+//! `sinr_core::sim::ChurnSpec` / `Scenario::churn`, which seeds the
+//! process from the run seed on its own stream and composes it with
+//! mobility and parallel sweeps.
 //!
 //! # Example
 //!

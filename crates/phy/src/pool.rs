@@ -2,7 +2,7 @@
 //!
 //! [`KernelPool`] holds everything the accumulate stage of the staged
 //! reception pipeline needs to run on more than one thread: the requested
-//! thread count, one reusable [`ShardScratch`] per worker, and the shard
+//! thread count, one reusable `ShardScratch` per worker, and the shard
 //! boundary buffer. Build one per trial (the [`Engine`] owns one and
 //! reuses it across rounds; `Scenario::physics_threads` sizes it) and
 //! hand it to [`ReceptionOracle::resolve_into_with`] every round — the

@@ -10,7 +10,7 @@
 //! This module holds the mode enum, the round-outcome type and the one-shot
 //! [`resolve_round`] entry point; the implementation (and the reusable,
 //! zero-allocation round-resolution state) lives in
-//! [`ReceptionOracle`](crate::oracle::ReceptionOracle).
+//! [`ReceptionOracle`].
 
 use sinr_geometry::{GridIndex, MetricPoint};
 

@@ -20,11 +20,13 @@
 //!
 //! # Failure isolation
 //!
-//! Specs are validated at `submit`, so a bad one is an `error` event for
-//! the submitting client and never reaches a worker. A trial that still
-//! fails — a scenario error, or a panic in a generator or the engine —
-//! becomes an `error` event for its job; the job still ends with `done`,
-//! and the worker carries on with a fresh arena.
+//! A request line longer than [`MAX_REQUEST_BYTES`] is an `error` event
+//! and closes its connection. Specs are validated at `submit`, so a bad
+//! one is an `error` event for the submitting client and never reaches a
+//! worker. A trial that still fails — a scenario error, or a panic in a
+//! generator or the engine — becomes an `error` event for its job; the
+//! job still ends with `done`, and the worker carries on with a fresh
+//! arena.
 //!
 //! # Determinism
 //!
@@ -45,8 +47,8 @@
 
 use std::any::Any;
 use std::collections::{BTreeMap, VecDeque};
-use std::io::{self, BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::io::{self, BufRead, BufReader, Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
@@ -69,6 +71,11 @@ pub const ROUND_CHANNEL_CAPACITY: usize = 1024;
 
 /// How often blocked writer loops re-check the shutdown flag.
 const TICK: Duration = Duration::from_millis(25);
+
+/// Longest request line the server reads, its newline included. A longer
+/// line gets one `error` event and the connection is closed, so no client
+/// can grow server memory past this per connection.
+pub const MAX_REQUEST_BYTES: u64 = 16 << 20;
 
 // ---------------------------------------------------------------------
 // Protocol lines
@@ -235,7 +242,7 @@ impl Shared {
         self.shutdown.store(true, Ordering::SeqCst);
         self.available.notify_all();
         for conn in self.conns.lock().unwrap().iter() {
-            let _ = conn.shutdown(std::net::Shutdown::Both);
+            let _ = conn.shutdown(Shutdown::Both);
         }
         // Wake the accept loop. The connect happens strictly after the
         // flag store, so the accepted wake connection (or any racing
@@ -379,6 +386,9 @@ struct Outgoing {
     control_tx: Sender<String>,
     /// Receivers of every round channel subscribed on this connection.
     round_rxs: Mutex<Vec<Receiver<String>>>,
+    /// Set by the reader when it refuses the connection's input: the
+    /// writer delivers the queued events, then closes the socket.
+    closing: AtomicBool,
 }
 
 impl Outgoing {
@@ -414,6 +424,17 @@ fn writer_loop(
     mut stream: TcpStream,
 ) {
     loop {
+        if outgoing.closing.load(Ordering::SeqCst) {
+            // Every line the reader queued before setting the flag is
+            // already in the channel.
+            for line in control_rx.try_iter() {
+                if flush_outgoing(&mut stream, outgoing, Some(line)).is_err() {
+                    return;
+                }
+            }
+            let _ = stream.shutdown(Shutdown::Both);
+            return;
+        }
         match control_rx.recv_timeout(TICK) {
             Ok(line) => {
                 if flush_outgoing(&mut stream, outgoing, Some(line)).is_err() {
@@ -576,18 +597,32 @@ fn handle_connection(shared: &Shared, stream: TcpStream) {
     let outgoing = Arc::new(Outgoing {
         control_tx,
         round_rxs: Mutex::new(Vec::new()),
+        closing: AtomicBool::new(false),
     });
     let writer_outgoing = Arc::clone(&outgoing);
     thread::scope(|scope| {
         scope.spawn(move || writer_loop(shared, &writer_outgoing, &control_rx, write_half));
         let mut reader = BufReader::new(stream);
-        let mut line = String::new();
+        let mut line = Vec::new();
         loop {
             line.clear();
-            match reader.read_line(&mut line) {
+            match (&mut reader)
+                .take(MAX_REQUEST_BYTES + 1)
+                .read_until(b'\n', &mut line)
+            {
                 Ok(0) | Err(_) => break,
+                Ok(len) if len as u64 > MAX_REQUEST_BYTES => {
+                    let _ = outgoing.control_tx.send(error_line(&format!(
+                        "request line exceeds {MAX_REQUEST_BYTES} bytes; closing the connection"
+                    )));
+                    outgoing.closing.store(true, Ordering::SeqCst);
+                    break;
+                }
                 Ok(_) => {
-                    let trimmed = line.trim();
+                    let Ok(text) = std::str::from_utf8(&line) else {
+                        break;
+                    };
+                    let trimmed = text.trim();
                     if trimmed.is_empty() {
                         continue;
                     }

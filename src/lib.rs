@@ -43,18 +43,18 @@
 //! # Ok::<(), sinr_broadcast::sim::SimError>(())
 //! ```
 //!
-//! See `examples/` for runnable scenarios and `DESIGN.md` / `EXPERIMENTS.md`
-//! for the reproduction methodology.
+//! See `examples/` for runnable scenarios and `EXPERIMENTS.md` for the
+//! reproduction methodology.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub use sinr_core as core;
+pub use sinr_core::sim;
 pub use sinr_geometry as geometry;
 pub use sinr_netgen as netgen;
 pub use sinr_phy as phy;
 pub use sinr_runtime as runtime;
-pub use sinr_sim as sim;
 pub use sinr_stats as stats;
 
 /// Workspace version, for diagnostics.

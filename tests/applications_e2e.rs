@@ -1,7 +1,7 @@
 //! End-to-end tests for the Section 5 applications, via the `Scenario`
 //! builder.
 
-use sinr_broadcast::core::{consensus::domain_bits, run_stabilize, Constants};
+use sinr_broadcast::core::{consensus::domain_bits, Constants};
 use sinr_broadcast::netgen::{cluster, line};
 use sinr_broadcast::phy::SinrParams;
 use sinr_broadcast::runtime::WakeSchedule;
@@ -131,13 +131,22 @@ fn established_wakeup_over_real_backbone() {
     let n = pts.len();
     // Build the backbone with one StabilizeProbability execution, then use
     // its colors for the wake-up flood (the Section 5 composition).
-    let backbone = run_stabilize(pts.clone(), &params, consts, 4).expect("valid");
+    let backbone = Scenario::new(pts.clone())
+        .constants(consts)
+        .protocol(ProtocolSpec::Coloring)
+        .build()
+        .unwrap()
+        .run(4)
+        .expect("valid");
+    let Outcome::Coloring { coloring } = backbone.outcome else {
+        panic!("expected coloring outcome, got {:?}", backbone.outcome);
+    };
     let mut initiators = vec![false; n];
     initiators[0] = true;
     let rep = Scenario::new(pts)
         .constants(consts)
         .protocol(ProtocolSpec::EstablishedWakeup {
-            coloring: backbone.coloring,
+            coloring,
             initiators,
         })
         .budget(consts.wakeup_window(n, 3) * 3)

@@ -162,6 +162,10 @@ fn out_of_range_knobs_are_build_errors_not_run_panics() {
             .err()
             .expect("near radius below 2 must not build");
         assert!(matches!(err, SimError::Spec(_)), "{near_radius}: {err}");
+        assert!(
+            err.to_string().starts_with("invalid scenario: "),
+            "an out-of-range knob is an invalid scenario, not a protocol mismatch: {err}"
+        );
     }
     for p in [0.0, 2.0, f64::NAN] {
         let err = build(

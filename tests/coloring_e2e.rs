@@ -3,7 +3,7 @@
 //! the offline build has no proptest, and seeded loops are replayable).
 
 use rand::{Rng, SeedableRng, SmallRng};
-use sinr_broadcast::core::{invariant_report, run_stabilize, Constants};
+use sinr_broadcast::core::{invariant_report, Coloring, Constants};
 use sinr_broadcast::geometry::Point2;
 use sinr_broadcast::netgen::{cluster, perturb};
 use sinr_broadcast::phy::SinrParams;
@@ -18,16 +18,33 @@ fn fast() -> Constants {
     }
 }
 
+/// Runs one `StabilizeProbability` execution under [`fast`] constants and
+/// returns the coloring.
+fn stabilize(pts: Vec<Point2>, seed: u64) -> Coloring {
+    let report = Scenario::new(pts)
+        .constants(fast())
+        .protocol(ProtocolSpec::Coloring)
+        .build()
+        .unwrap()
+        .run(seed)
+        .unwrap();
+    assert!(report.completed, "the full Fact 7 schedule ran");
+    match report.outcome {
+        Outcome::Coloring { coloring } => coloring,
+        other => panic!("expected coloring outcome, got {other:?}"),
+    }
+}
+
 #[test]
 fn colors_form_doubling_lattice() {
     let params = SinrParams::default_plane();
     let consts = fast();
     let pts = cluster::chain_for_diameter(4, 12, &params, 3);
     let n = pts.len();
-    let run = run_stabilize(pts, &params, consts, 9).unwrap();
+    let coloring = stabilize(pts, 9);
     let p_start = consts.p_start(n);
     let terminal = 2.0 * consts.p_max();
-    for &c in &run.coloring.colors {
+    for &c in &coloring.colors {
         if (c - terminal).abs() < 1e-15 {
             continue;
         }
@@ -45,38 +62,44 @@ fn palette_size_at_most_levels_plus_one() {
     let consts = fast();
     let pts = cluster::chain_for_diameter(4, 12, &params, 4);
     let n = pts.len();
-    let run = run_stabilize(pts, &params, consts, 11).unwrap();
-    assert!(run.coloring.num_colors() <= consts.num_levels(n) as usize + 1);
+    assert!(stabilize(pts, 11).num_colors() <= consts.num_levels(n) as usize + 1);
 }
 
 #[test]
 fn rerunning_coloring_is_deterministic() {
     let params = SinrParams::default_plane();
-    let consts = fast();
     let pts = cluster::chain_for_diameter(3, 10, &params, 5);
-    let a = run_stabilize(pts.clone(), &params, consts, 21).unwrap();
-    let b = run_stabilize(pts, &params, consts, 21).unwrap();
-    assert_eq!(a.coloring, b.coloring);
+    assert_eq!(stabilize(pts.clone(), 21), stabilize(pts, 21));
 }
 
+/// `ProtocolSpec::Coloring` reproduces, bit for bit, the round count and
+/// coloring `StabilizeProbability` produced on this deployment under its
+/// former standalone driver: all 40 stations at color 0.004.
 #[test]
-fn scenario_coloring_agrees_with_run_stabilize() {
+fn scenario_coloring_agrees_with_pinned_stabilize() {
     let params = SinrParams::default_plane();
-    let consts = fast();
     let pts = cluster::chain_for_diameter(3, 10, &params, 6);
-    let legacy = run_stabilize(pts.clone(), &params, consts, 31).unwrap();
     let rep = Scenario::new(pts)
-        .constants(consts)
+        .constants(fast())
         .protocol(ProtocolSpec::Coloring)
         .build()
         .unwrap()
         .run(31)
         .unwrap();
+    assert_eq!(rep.rounds, 48);
     match rep.outcome {
-        Outcome::Coloring { ref coloring } => assert_eq!(*coloring, legacy.coloring),
+        Outcome::Coloring { ref coloring } => {
+            assert_eq!(coloring.len(), 40);
+            assert!(
+                coloring
+                    .colors
+                    .iter()
+                    .all(|c| c.to_bits() == 0x3f70_624d_d2f1_a9fc),
+                "{coloring:?}"
+            );
+        }
         ref other => panic!("expected coloring outcome, got {other:?}"),
     }
-    assert_eq!(rep.rounds, legacy.rounds);
 }
 
 /// On any random (min-separated) deployment, the coloring terminates with
@@ -96,13 +119,13 @@ fn coloring_invariants_on_random_deployments() {
             .collect();
         perturb::enforce_min_separation(&mut pts, 1e-6);
         let n = pts.len();
-        let run = run_stabilize(pts.clone(), &params, consts, seed).unwrap();
-        assert_eq!(run.coloring.len(), n, "case {case}");
+        let coloring = stabilize(pts.clone(), seed);
+        assert_eq!(coloring.len(), n, "case {case}");
         let terminal = 2.0 * consts.p_max();
-        for &c in &run.coloring.colors {
+        for &c in &coloring.colors {
             assert!(c > 0.0 && c <= terminal + 1e-15, "case {case}: color {c}");
         }
-        let rep = invariant_report(&pts, &run.coloring, params.eps());
+        let rep = invariant_report(&pts, &coloring, params.eps());
         assert!(
             rep.max_unit_ball_mass <= consts.c1_cap * 8.0,
             "case {case}: lemma1 mass {} too large",

@@ -4,8 +4,8 @@
 //! sweep and physics thread counts, in both `InterferenceMode`s: `Exact`
 //! and `GridNative`, whose sorted flat cell buckets make the
 //! floating-point sums a pure function of the input. This file pins that
-//! at the full-protocol level (`tests/scenario_golden.rs` pins the
-//! legacy-equivalence side).
+//! at the full-protocol level (`tests/scenario_golden.rs` pins literal
+//! per-protocol reports).
 
 use sinr_broadcast::core::sim::{ChurnSpec, MobilitySpec, ProtocolSpec, Scenario, TopologySpec};
 use sinr_broadcast::core::Constants;

@@ -100,16 +100,20 @@ fn population_estimate_slows_but_never_breaks() {
 
 #[test]
 fn estimate_below_population_is_rejected() {
-    let pts = line::uniform_line(8, 0.45);
-    let err = Scenario::new(pts)
-        .constants(fast())
-        .protocol(ProtocolSpec::SBroadcastWithEstimate { source: 0, nu: 3 })
-        .budget(1000)
-        .build()
-        .unwrap()
-        .run(1)
-        .unwrap_err();
-    assert!(matches!(err, SimError::Spec(_)));
+    for spec in [
+        ProtocolSpec::SBroadcastWithEstimate { source: 0, nu: 3 },
+        ProtocolSpec::NoSBroadcastWithEstimate { source: 0, nu: 3 },
+    ] {
+        let err = Scenario::new(line::uniform_line(8, 0.45))
+            .constants(fast())
+            .protocol(spec)
+            .budget(1000)
+            .build()
+            .unwrap()
+            .run(1)
+            .unwrap_err();
+        assert!(matches!(err, SimError::Spec(_)), "{err}");
+    }
 }
 
 #[test]

@@ -6,12 +6,12 @@
 //! If a change is *intended* (e.g. a bug fix in the oracle), update the
 //! pinned values and note the change in the commit message.
 
-use sinr_broadcast::core::{run_stabilize, Constants};
+use sinr_broadcast::core::Constants;
 use sinr_broadcast::geometry::Point2;
 use sinr_broadcast::netgen::{cluster, line, uniform};
 use sinr_broadcast::phy::SinrParams;
 use sinr_broadcast::runtime::derive_seed;
-use sinr_broadcast::sim::{ChurnSpec, MobilitySpec, ProtocolSpec, Scenario, TopologySpec};
+use sinr_broadcast::sim::{ChurnSpec, MobilitySpec, Outcome, ProtocolSpec, Scenario, TopologySpec};
 
 #[test]
 fn seed_derivation_pinned() {
@@ -53,13 +53,23 @@ fn topology_spec_matches_direct_generator() {
 
 #[test]
 fn coloring_outcome_pinned() {
-    let params = SinrParams::default_plane();
-    let consts = Constants::tuned();
-    let pts = line::uniform_line(12, 0.45);
-    let a = run_stabilize(pts.clone(), &params, consts, 77).unwrap();
-    let b = run_stabilize(pts, &params, consts, 77).unwrap();
-    assert_eq!(a, b, "coloring must be bit-for-bit reproducible");
-    assert_eq!(a.rounds, consts.coloring_rounds(12));
+    // One StabilizeProbability execution under the tuned constants, pinned
+    // to the bit: any change to the coloring's schedule or decisions that
+    // alters a color or a transmission flips this.
+    let sim = Scenario::new(line::uniform_line(12, 0.45))
+        .protocol(ProtocolSpec::Coloring)
+        .build()
+        .unwrap();
+    let a = sim.run(77).unwrap();
+    assert_eq!(a, sim.run(77).unwrap(), "coloring must replay bit for bit");
+    assert!(a.completed);
+    assert_eq!(a.rounds, Constants::tuned().coloring_rounds(12));
+    assert_eq!(a.total_transmissions, 88, "pinned coloring energy drifted");
+    let Outcome::Coloring { coloring } = &a.outcome else {
+        panic!("expected coloring outcome, got {:?}", a.outcome);
+    };
+    let bits: Vec<u64> = coloring.colors.iter().map(|c| c.to_bits()).collect();
+    assert_eq!(bits, [0x3f70_624d_d2f1_a9fc; 12], "pinned colors drifted");
 }
 
 #[test]

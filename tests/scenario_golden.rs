@@ -1,26 +1,23 @@
-//! Golden equivalence and determinism tests for the `Scenario` API.
+//! Golden and determinism tests for the `Scenario` API.
 //!
 //! Two contracts are pinned here:
 //!
-//! 1. **Legacy equivalence** — for every protocol with a legacy `run_*`
-//!    runner, `Scenario::run(seed)` on the same explicit topology
-//!    reproduces the legacy report **field-for-field**;
+//! 1. **Literal reports** — for every protocol, `Simulation::run(seed)` on
+//!    a fixed explicit topology reproduces a pinned
+//!    `(n, rounds, completed, informed, total_transmissions, outcome)`
+//!    — the values the standalone per-protocol runners produced before
+//!    `Scenario` became the only entry point, hence `*_matches_legacy`;
 //! 2. **Sweep determinism** — `Simulation::sweep` returns identical
 //!    reports for 1 worker thread and many, and `run(seed)` twice is
 //!    bit-for-bit identical.
+//!
+//! If a change is *intended* to alter a protocol's behaviour, update the
+//! pinned values and say so in the commit message.
 
-#![allow(deprecated)] // the point of this file is comparing against the legacy runners
-
-use sinr_broadcast::core::run::{
-    run_adhoc_wakeup, run_consensus, run_daum_broadcast, run_established_wakeup,
-    run_flood_broadcast, run_leader_election, run_local_broadcast, run_nos_broadcast,
-    run_nos_broadcast_with_estimate, run_s_broadcast, run_s_broadcast_in_mode,
-    run_s_broadcast_with_estimate,
-};
-use sinr_broadcast::core::sim::{Outcome, ProtocolSpec, Scenario, TopologySpec};
-use sinr_broadcast::core::{baselines::run_gps_oracle_broadcast, run_stabilize, Constants};
+use sinr_broadcast::core::sim::{Outcome, ProtocolSpec, RunReport, Scenario, TopologySpec};
+use sinr_broadcast::core::{Coloring, Constants};
 use sinr_broadcast::geometry::Point2;
-use sinr_broadcast::phy::{InterferenceMode, SinrParams};
+use sinr_broadcast::phy::InterferenceMode;
 use sinr_broadcast::runtime::WakeSchedule;
 
 fn fast() -> Constants {
@@ -47,144 +44,112 @@ fn sim_for(spec: ProtocolSpec, budget: u64) -> sinr_broadcast::sim::Simulation {
         .expect("valid scenario")
 }
 
+/// Runs a fixed-schedule protocol (no budget) on `path(n)`.
+fn run_fixed(n: usize, spec: ProtocolSpec, seed: u64) -> RunReport {
+    Scenario::new(path(n))
+        .constants(fast())
+        .protocol(spec)
+        .build()
+        .unwrap()
+        .run(seed)
+        .unwrap()
+}
+
+/// The pinned fields of a report.
+fn pinned(r: RunReport) -> (usize, u64, bool, usize, u64, Outcome) {
+    (
+        r.n,
+        r.rounds,
+        r.completed,
+        r.informed,
+        r.total_transmissions,
+        r.outcome,
+    )
+}
+
+/// The coloring every pinned `path(6)`/`path(8)` coloring run produces:
+/// each station at the same color, `0.004`.
+fn uniform_coloring(n: usize) -> Coloring {
+    Coloring::new(vec![f64::from_bits(0x3f70_624d_d2f1_a9fc); n])
+}
+
+/// The `path(6)` backbone of the wake-up and alert cases.
+fn backbone() -> Coloring {
+    match run_fixed(6, ProtocolSpec::Coloring, 4).outcome {
+        Outcome::Coloring { coloring } => coloring,
+        other => panic!("expected coloring outcome, got {other:?}"),
+    }
+}
+
 #[test]
 fn nos_broadcast_matches_legacy() {
-    let params = SinrParams::default_plane();
-    let legacy = run_nos_broadcast(path(6), &params, fast(), 0, 11, 500_000).unwrap();
-    let new = sim_for(ProtocolSpec::NoSBroadcast { source: 0 }, 500_000)
+    let r = sim_for(ProtocolSpec::NoSBroadcast { source: 0 }, 500_000)
         .run(11)
         .unwrap();
-    assert_eq!(legacy.n, new.n);
-    assert_eq!(legacy.rounds, new.rounds);
-    assert_eq!(legacy.completed, new.completed);
-    assert_eq!(legacy.informed, new.informed);
-    assert_eq!(legacy.total_transmissions, new.total_transmissions);
+    assert_eq!(pinned(r), (6, 206, true, 6, 9, Outcome::Broadcast));
 }
 
 #[test]
 fn s_broadcast_matches_legacy() {
-    let params = SinrParams::default_plane();
-    let legacy = run_s_broadcast(path(6), &params, fast(), 0, 12, 500_000).unwrap();
-    let new = sim_for(ProtocolSpec::SBroadcast { source: 0 }, 500_000)
+    let r = sim_for(ProtocolSpec::SBroadcast { source: 0 }, 500_000)
         .run(12)
         .unwrap();
-    assert_eq!(
-        (
-            legacy.n,
-            legacy.rounds,
-            legacy.completed,
-            legacy.informed,
-            legacy.total_transmissions
-        ),
-        (
-            new.n,
-            new.rounds,
-            new.completed,
-            new.informed,
-            new.total_transmissions
-        )
-    );
+    assert_eq!(pinned(r), (6, 126, true, 6, 8, Outcome::Broadcast));
 }
 
 #[test]
 fn estimate_broadcasts_match_legacy() {
-    let params = SinrParams::default_plane();
-    let legacy =
-        run_s_broadcast_with_estimate(path(6), &params, fast(), 0, 48, 13, 2_000_000).unwrap();
-    let new = sim_for(
+    let r = sim_for(
         ProtocolSpec::SBroadcastWithEstimate { source: 0, nu: 48 },
         2_000_000,
     )
     .run(13)
     .unwrap();
-    assert_eq!(
-        (legacy.rounds, legacy.completed, legacy.total_transmissions),
-        (new.rounds, new.completed, new.total_transmissions)
-    );
+    assert_eq!(pinned(r), (6, 200, true, 6, 8, Outcome::Broadcast));
 
-    let budget = fast().phase_rounds(48) * 60;
-    let legacy =
-        run_nos_broadcast_with_estimate(path(6), &params, fast(), 0, 48, 14, budget).unwrap();
-    let new = sim_for(
+    let r = sim_for(
         ProtocolSpec::NoSBroadcastWithEstimate { source: 0, nu: 48 },
-        budget,
+        fast().phase_rounds(48) * 60,
     )
     .run(14)
     .unwrap();
-    assert_eq!(
-        (legacy.rounds, legacy.completed, legacy.total_transmissions),
-        (new.rounds, new.completed, new.total_transmissions)
-    );
+    assert_eq!(pinned(r), (6, 703, true, 6, 13, Outcome::Broadcast));
 }
 
 #[test]
 fn baselines_match_legacy() {
-    let params = SinrParams::default_plane();
-
-    let legacy = run_daum_broadcast(path(6), &params, 0, None, 15, 200_000).unwrap();
-    let new = sim_for(
-        ProtocolSpec::DaumBroadcast {
-            source: 0,
-            granularity: None,
-        },
-        200_000,
-    )
-    .run(15)
-    .unwrap();
-    assert_eq!(
-        (legacy.rounds, legacy.completed, legacy.total_transmissions),
-        (new.rounds, new.completed, new.total_transmissions),
-        "daum"
-    );
-
-    let legacy = run_flood_broadcast(path(6), &params, 0, 0.3, 16, 200_000).unwrap();
-    let new = sim_for(ProtocolSpec::FloodBroadcast { source: 0, p: 0.3 }, 200_000)
-        .run(16)
-        .unwrap();
-    assert_eq!(
-        (legacy.rounds, legacy.completed, legacy.total_transmissions),
-        (new.rounds, new.completed, new.total_transmissions),
-        "flood"
-    );
-
-    let legacy = run_local_broadcast(path(6), &params, 0, 17, 200_000).unwrap();
-    let new = sim_for(ProtocolSpec::LocalBroadcast { source: 0 }, 200_000)
-        .run(17)
-        .unwrap();
-    assert_eq!(
-        (legacy.rounds, legacy.completed, legacy.total_transmissions),
-        (new.rounds, new.completed, new.total_transmissions),
-        "local"
-    );
-
-    let legacy = run_gps_oracle_broadcast(path(6), &params, 0, 18, 200_000).unwrap();
-    let new = sim_for(ProtocolSpec::GpsOracleBroadcast { source: 0 }, 200_000)
-        .run(18)
-        .unwrap();
-    assert_eq!(
+    let cases = [
         (
-            legacy.rounds,
-            legacy.completed,
-            legacy.informed,
-            legacy.total_transmissions
+            ProtocolSpec::DaumBroadcast {
+                source: 0,
+                granularity: None,
+            },
+            15,
+            (5, 9),
         ),
         (
-            new.rounds,
-            new.completed,
-            new.informed,
-            new.total_transmissions
+            ProtocolSpec::FloodBroadcast { source: 0, p: 0.3 },
+            16,
+            (9, 10),
         ),
-        "gps oracle"
-    );
+        (ProtocolSpec::LocalBroadcast { source: 0 }, 17, (34, 19)),
+        (ProtocolSpec::GpsOracleBroadcast { source: 0 }, 18, (8, 4)),
+    ];
+    for (spec, seed, (rounds, tx)) in cases {
+        let name = spec.name();
+        let r = sim_for(spec, 200_000).run(seed).unwrap();
+        assert_eq!(
+            pinned(r),
+            (6, rounds, true, 6, tx, Outcome::Broadcast),
+            "{name}"
+        );
+    }
 }
 
 #[test]
 fn interference_mode_matches_legacy() {
-    let params = SinrParams::default_plane();
     for mode in [InterferenceMode::Exact, InterferenceMode::grid_native()] {
-        let legacy =
-            run_s_broadcast_in_mode(path(6), &params, fast(), 0, mode, 19, 500_000).unwrap();
-        let new = Scenario::new(path(6))
+        let r = Scenario::new(path(6))
             .constants(fast())
             .protocol(ProtocolSpec::SBroadcast { source: 0 })
             .interference_mode(mode)
@@ -194,8 +159,8 @@ fn interference_mode_matches_legacy() {
             .run(19)
             .unwrap();
         assert_eq!(
-            (legacy.rounds, legacy.completed, legacy.total_transmissions),
-            (new.rounds, new.completed, new.total_transmissions),
+            pinned(r),
+            (6, 297, true, 6, 6, Outcome::Broadcast),
             "{mode:?}"
         );
     }
@@ -203,23 +168,11 @@ fn interference_mode_matches_legacy() {
 
 #[test]
 fn coloring_matches_legacy_stabilize() {
-    let params = SinrParams::default_plane();
-    let legacy = run_stabilize(path(8), &params, fast(), 21).unwrap();
-    let new = Scenario::new(path(8))
-        .constants(fast())
-        .protocol(ProtocolSpec::Coloring)
-        .build()
-        .unwrap()
-        .run(21)
-        .unwrap();
-    assert_eq!(legacy.rounds, new.rounds);
-    assert_eq!(legacy.total_transmissions, new.total_transmissions);
-    match new.outcome {
-        Outcome::Coloring { ref coloring } => assert_eq!(*coloring, legacy.coloring),
-        ref other => panic!("expected coloring outcome, got {other:?}"),
-    }
-    assert!(new.completed, "full schedule ran");
-    assert_eq!(new.informed, 8, "all stations colored");
+    let coloring = uniform_coloring(8);
+    assert_eq!(
+        pinned(run_fixed(8, ProtocolSpec::Coloring, 21)),
+        (8, 24, true, 8, 5, Outcome::Coloring { coloring })
+    );
 }
 
 #[test]
@@ -251,146 +204,83 @@ fn truncated_coloring_reports_incomplete_instead_of_panicking() {
 
 #[test]
 fn wakeup_matches_legacy() {
-    let params = SinrParams::default_plane();
-    let consts = fast();
-    let schedule = WakeSchedule::single(0, 13);
-    let budget = consts.phase_rounds(6) * 60;
-    let legacy = run_adhoc_wakeup(path(6), &params, consts, &schedule, 22, budget).unwrap();
-    let new = sim_for(
+    let r = sim_for(
         ProtocolSpec::AdhocWakeup {
-            schedule: schedule.clone(),
+            schedule: WakeSchedule::single(0, 13),
         },
-        budget,
+        fast().phase_rounds(6) * 60,
     )
     .run(22)
     .unwrap();
-    assert_eq!(legacy.completed, new.completed);
-    match new.outcome {
-        Outcome::Wakeup {
-            first_wake,
-            rounds_from_first_wake,
-        } => {
-            assert_eq!(legacy.first_wake, first_wake);
-            assert_eq!(legacy.rounds_from_first_wake, rounds_from_first_wake);
-        }
-        ref other => panic!("expected wakeup outcome, got {other:?}"),
-    }
+    let outcome = Outcome::Wakeup {
+        first_wake: 13,
+        rounds_from_first_wake: 384,
+    };
+    assert_eq!(pinned(r), (6, 397, true, 6, 5, outcome));
 }
 
 #[test]
 fn established_wakeup_matches_legacy() {
-    let params = SinrParams::default_plane();
-    let consts = fast();
-    let backbone = run_stabilize(path(6), &params, consts, 4).unwrap();
+    let coloring = backbone();
+    assert_eq!(coloring, uniform_coloring(6));
     let mut initiators = vec![false; 6];
     initiators[0] = true;
-    let budget = consts.wakeup_window(6, 5) * 3;
-    let legacy = run_established_wakeup(
-        path(6),
-        &params,
-        consts,
-        &backbone.coloring,
-        &initiators,
-        23,
-        budget,
-    )
-    .unwrap();
-    let new = sim_for(
+    let r = sim_for(
         ProtocolSpec::EstablishedWakeup {
-            coloring: backbone.coloring.clone(),
-            initiators: initiators.clone(),
+            coloring,
+            initiators,
         },
-        budget,
+        fast().wakeup_window(6, 5) * 3,
     )
     .run(23)
     .unwrap();
-    assert_eq!(
-        (
-            legacy.rounds,
-            legacy.completed,
-            legacy.informed,
-            legacy.total_transmissions
-        ),
-        (
-            new.rounds,
-            new.completed,
-            new.informed,
-            new.total_transmissions
-        )
-    );
+    assert_eq!(pinned(r), (6, 144, true, 6, 4, Outcome::Broadcast));
 }
 
 #[test]
 fn consensus_matches_legacy() {
-    let params = SinrParams::default_plane();
-    let consts = fast();
-    let values = [6u64, 2, 5, 7, 3, 4];
-    let legacy = run_consensus(path(6), &params, consts, &values, 3, 4, 24).unwrap();
-    let new = Scenario::new(path(6))
-        .constants(consts)
-        .protocol(ProtocolSpec::Consensus {
-            values: values.to_vec(),
-            bits: 3,
-            d_bound: 4,
-        })
-        .build()
-        .unwrap()
-        .run(24)
-        .unwrap();
-    assert_eq!(legacy.rounds, new.rounds);
-    match new.outcome {
-        Outcome::Consensus {
-            ref decided,
-            agreement,
-            valid,
-        } => {
-            assert_eq!(legacy.decided, *decided);
-            assert_eq!(legacy.agreement, agreement);
-            assert_eq!(legacy.valid, valid);
-        }
-        ref other => panic!("expected consensus outcome, got {other:?}"),
-    }
+    let spec = ProtocolSpec::Consensus {
+        values: vec![6, 2, 5, 7, 3, 4],
+        bits: 3,
+        d_bound: 4,
+    };
+    let outcome = Outcome::Consensus {
+        decided: vec![Some(2); 6],
+        agreement: true,
+        valid: true,
+    };
+    assert_eq!(
+        pinned(run_fixed(6, spec, 24)),
+        (6, 16_440, true, 6, 343, outcome)
+    );
 }
 
 #[test]
 fn leader_election_matches_legacy() {
-    let params = SinrParams::default_plane();
-    let consts = fast();
-    let legacy = run_leader_election(path(6), &params, consts, 6, 25).unwrap();
-    let new = Scenario::new(path(6))
-        .constants(consts)
-        .protocol(ProtocolSpec::LeaderElection { d_bound: 6 })
-        .build()
-        .unwrap()
-        .run(25)
-        .unwrap();
-    assert_eq!(legacy.rounds, new.rounds);
-    match new.outcome {
-        Outcome::Leader {
-            ref leaders,
-            unique,
-        } => {
-            assert_eq!(legacy.leaders, *leaders);
-            assert_eq!(legacy.unique, unique);
-        }
-        ref other => panic!("expected leader outcome, got {other:?}"),
-    }
+    let outcome = Outcome::Leader {
+        leaders: vec![0],
+        unique: true,
+    };
+    assert_eq!(
+        pinned(run_fixed(
+            6,
+            ProtocolSpec::LeaderElection { d_bound: 6 },
+            25
+        )),
+        (6, 72_744, true, 6, 1_555, outcome)
+    );
 }
 
 #[test]
 fn alert_is_deterministic_and_spreads() {
-    // No legacy runner existed for the alert protocol; pin determinism
-    // and the completion semantics instead.
-    let params = SinrParams::default_plane();
-    let consts = fast();
-    let backbone = run_stabilize(path(6), &params, consts, 4).unwrap();
+    // Pin determinism and the completion semantics of the alert protocol.
     let sim = sim_for(
         ProtocolSpec::Alert {
-            coloring: backbone.coloring.clone(),
+            coloring: backbone(),
             alerts: vec![(3, 7)],
             d_bound: 6,
         },
-        consts.wakeup_window(6, 6) * 4,
+        fast().wakeup_window(6, 6) * 4,
     );
     let a = sim.run(26).unwrap();
     let b = sim.run(26).unwrap();
