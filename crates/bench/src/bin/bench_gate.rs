@@ -14,11 +14,7 @@
 //!
 //! * only records whose names start with a tracked prefix (the
 //!   [`TRACKED`] list: `oracle/`, `broadcast/`, `coloring/`,
-//!   `mobility/`, `churn/`, `degradation/`, `repair/`, `simd/`) are
-//!   gated;
-//! * a baseline row recorded on a different CPU feature tier (its `tier`
-//!   field vs the fresh run's) is skipped, not compared — an `avx2+fma`
-//!   `simd/` timing is meaningless on a NEON or scalar-only machine;
+//!   `mobility/`, `churn/`, `degradation/`, `repair/`) are gated;
 //! * a fresh record is compared against the baseline record of the same
 //!   name; names present in only one file are reported but never fail
 //!   the gate (quick CI runs cover a subset of the committed sizes);
@@ -43,7 +39,6 @@ const TRACKED: &[&str] = &[
     "churn/",
     "degradation/",
     "repair/",
-    "simd/",
 ];
 
 struct Args {
@@ -95,7 +90,6 @@ fn main() -> ExitCode {
     let mut compared = 0usize;
     let mut skipped_no_baseline = 0usize;
     let mut skipped_floor = 0usize;
-    let mut skipped_tier = 0usize;
     let mut regressions = Vec::new();
     for f in &fresh {
         if !TRACKED.iter().any(|p| f.name.starts_with(p)) {
@@ -106,14 +100,6 @@ fn main() -> ExitCode {
             println!("gate: {:<44} (no baseline row; skipped)", f.name);
             continue;
         };
-        if !b.tier.is_empty() && b.tier != f.tier {
-            skipped_tier += 1;
-            println!(
-                "gate: {:<44} baseline tier `{}` != machine tier `{}`; skipped",
-                f.name, b.tier, f.tier
-            );
-            continue;
-        }
         if b.min_ns < args.floor_ns {
             skipped_floor += 1;
             println!(
@@ -140,7 +126,7 @@ fn main() -> ExitCode {
     println!(
         "gate: compared {compared} tracked kernels against {} (max ratio {}); \
          skipped {skipped_floor} below the {} ns floor, {skipped_no_baseline} without a \
-         baseline row, {skipped_tier} recorded on a different CPU tier",
+         baseline row",
         args.baseline, args.max_ratio, args.floor_ns
     );
     if regressions.is_empty() {

@@ -22,7 +22,7 @@
 use sinr_bench::microbench::Session;
 use sinr_bench::{
     broadcast_suite, churn_suite, coloring_suite, degradation_suite, mobility_suite, phy_suite,
-    repair_suite, simd_suite,
+    repair_suite,
 };
 
 fn main() {
@@ -34,7 +34,6 @@ fn main() {
         [
             "all",
             "phy",
-            "simd",
             "broadcast",
             "coloring",
             "mobility",
@@ -43,13 +42,10 @@ fn main() {
             "repair"
         ]
         .contains(&suite.as_str()),
-        "unknown --suite {suite}; expected all, phy, simd, broadcast, coloring, mobility, churn, degradation or repair"
+        "unknown --suite {suite}; expected all, phy, broadcast, coloring, mobility, churn, degradation or repair"
     );
     if want("phy") {
         phy_suite::run(&mut session);
-    }
-    if want("simd") {
-        simd_suite::run(&mut session);
     }
     if want("broadcast") {
         broadcast_suite::run(&mut session);

@@ -44,7 +44,6 @@ pub mod microbench;
 pub mod mobility_suite;
 pub mod phy_suite;
 pub mod repair_suite;
-pub mod simd_suite;
 
 pub use config::ExpConfig;
 

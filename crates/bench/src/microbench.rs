@@ -31,28 +31,20 @@ pub struct BenchRecord {
     pub mean_ns: u128,
     /// Slowest iteration, nanoseconds.
     pub max_ns: u128,
-    /// CPU feature tier of the machine that recorded the row
-    /// ([`sinr_geometry::hardware_tier`] label: `avx2+fma`, `neon` or
-    /// `scalar`). Empty for rows from baselines predating the field.
-    /// `bench_gate` refuses to compare rows whose recorded tier differs
-    /// from the fresh run's — a `simd/` row timed on different hardware
-    /// is a different kernel, not a regression signal.
-    pub tier: String,
 }
 
 impl BenchRecord {
     fn to_json(&self) -> String {
-        // Benchmark names and tier labels are plain identifiers with '/',
-        // so escaping quotes/backslashes suffices.
+        // Benchmark names are plain identifiers with '/', so escaping
+        // quotes/backslashes suffices.
         let esc = |s: &str| s.replace('\\', "\\\\").replace('"', "\\\"");
         format!(
-            "{{\"name\":\"{}\",\"n\":{},\"min_ns\":{},\"mean_ns\":{},\"max_ns\":{},\"tier\":\"{}\"}}",
+            "{{\"name\":\"{}\",\"n\":{},\"min_ns\":{},\"mean_ns\":{},\"max_ns\":{}}}",
             esc(&self.name),
             self.n,
             self.min_ns,
             self.mean_ns,
-            self.max_ns,
-            esc(&self.tier)
+            self.max_ns
         )
     }
 }
@@ -90,7 +82,6 @@ pub fn bench_record(
         min_ns: min.as_nanos(),
         mean_ns: mean.as_nanos(),
         max_ns: max.as_nanos(),
-        tier: sinr_geometry::hardware_tier().label().to_string(),
     }
 }
 
@@ -263,8 +254,6 @@ pub fn parse_records(json: &str) -> Vec<BenchRecord> {
                 min_ns: extract_num(obj, "min_ns")?,
                 mean_ns: extract_num(obj, "mean_ns")?,
                 max_ns: extract_num(obj, "max_ns")?,
-                // Baselines predating the field parse to an empty tier.
-                tier: extract_str(obj, "tier").unwrap_or_default(),
             })
         })();
         if let Some(r) = record {
@@ -356,25 +345,8 @@ mod tests {
             min_ns: 1,
             mean_ns: 2,
             max_ns: 3,
-            tier: "scalar".into(),
         };
         assert!(r.to_json().contains("a\\\"b"));
-        assert!(r.to_json().contains("\"tier\":\"scalar\""));
-    }
-
-    #[test]
-    fn records_carry_the_machine_tier_and_old_baselines_parse_tierless() {
-        let mut s = Session::new();
-        s.bench_n("simd/distance_sq_ax2/auto/8", 8, 0, 1, || {});
-        let want = sinr_geometry::hardware_tier().label();
-        assert_eq!(s.records()[0].tier, want);
-        let parsed = parse_records(&s.to_json());
-        assert_eq!(parsed[0].tier, want);
-        // A pre-tier baseline row degrades to an empty tier, not an error.
-        let old = r#"[{"name":"oracle/exact/256","n":256,"min_ns":10,"mean_ns":20,"max_ns":30}]"#;
-        let parsed = parse_records(old);
-        assert_eq!(parsed.len(), 1);
-        assert_eq!(parsed[0].tier, "");
     }
 
     #[test]

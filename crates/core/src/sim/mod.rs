@@ -185,10 +185,10 @@
 //! error     = {"event":"error","message":string}
 //! ```
 //!
-//! Live `round` events flow through the lossy bounded [`StreamObserver`]
-//! / [`RoundSink`] pair: a slow subscriber drops rounds (counted in
-//! `done.dropped_rounds`) rather than stalling the engine, and always
-//! still receives every `report` event — whose embedded report bytes are
+//! Every event of a connection goes out in the order the server emitted
+//! it. Live `round` events are lossy: a slow subscriber drops rounds
+//! (counted in `done.dropped_rounds`) rather than stalling the engine,
+//! and always still receives every `report` event — whose embedded report bytes are
 //! byte-identical to an in-process [`Simulation::run`] of the same spec
 //! and seed at any number of concurrent subscribers
 //! (`crates/serve/tests/server_determinism.rs`).
@@ -222,22 +222,20 @@ pub mod wire;
 pub use adversary::{AdversaryModel, AdversarySpec};
 pub use churn::ChurnSpec;
 pub use mobility::MobilitySpec;
-pub use observer::{LoadObserver, Observer, StreamObserver};
+pub use observer::Observer;
 pub use report::{CoveragePoint, FaultReport, Outcome, RunReport, SweepReport};
 pub use scenario::{Scenario, SimError, Simulation};
 pub use spec::ProtocolSpec;
 pub use topology::{Topology, TopologySpec};
 pub use wire::{decode_run_report, encode_run_report, ScenarioSpec, WireError};
 
-// The motion and lifecycle models the dynamic specs name, re-exported so
-// scenario code needs no direct `sinr_netgen` import.
+// The repair policy and the motion and lifecycle models the dynamic specs
+// name, re-exported so scenario code needs no direct `sinr_geometry` or
+// `sinr_netgen` import.
 pub use sinr_geometry::RepairPolicy;
-// The kernel knobs the scenario builder takes, re-exported so scenario
-// code needs no direct `sinr_phy` import.
 pub use sinr_netgen::churn::ChurnModel;
 pub use sinr_netgen::mobility::MobilityModel;
-pub use sinr_phy::{Accumulation, KernelDispatch};
 
-// The streaming seam `StreamObserver` plugs into, re-exported so server
-// code reaches the whole observer/sink pair through one crate.
-pub use sinr_runtime::{EngineArena, RoundEvent, RoundSink};
+// The cross-trial buffers a long-running host (the `sinr-serve` worker
+// pool) recycles through `Simulation::run_reusing`.
+pub use sinr_runtime::EngineArena;

@@ -1,6 +1,6 @@
 //! Pluggable per-round observation hooks.
 
-use sinr_runtime::{RoundEvent, RoundSink, RoundStats};
+use sinr_runtime::RoundStats;
 
 use super::RunReport;
 
@@ -21,83 +21,4 @@ pub trait Observer: Send {
     /// Called once after the run; typically records scalars into
     /// [`RunReport::measurements`].
     fn finish(&mut self, report: &mut RunReport);
-}
-
-/// Built-in observer measuring channel load: peak simultaneous
-/// transmitters, and the round by which half the stations were reached.
-///
-/// Records `peak_transmitters`, and `half_coverage_round` when coverage
-/// reached `n/2` during the run.
-#[derive(Debug, Default)]
-pub struct LoadObserver {
-    n: usize,
-    peak: usize,
-    half_round: Option<u64>,
-}
-
-impl LoadObserver {
-    /// Creates the observer.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl Observer for LoadObserver {
-    fn begin(&mut self, n: usize) {
-        self.n = n;
-    }
-
-    fn on_round(&mut self, stats: &RoundStats, informed: usize) {
-        self.peak = self.peak.max(stats.transmitters);
-        if self.half_round.is_none() && informed * 2 >= self.n {
-            self.half_round = Some(stats.round);
-        }
-    }
-
-    fn finish(&mut self, report: &mut RunReport) {
-        report
-            .measurements
-            .insert("peak_transmitters".into(), self.peak as f64);
-        if let Some(r) = self.half_round {
-            report
-                .measurements
-                .insert("half_coverage_round".into(), r as f64);
-        }
-    }
-}
-
-/// Observer that streams one [`RoundEvent`] per executed round into a
-/// lossy bounded [`RoundSink`] — the engine side of the `sinr-serve`
-/// live-trace fan-out.
-///
-/// `offer` never blocks, so a slow (or departed) subscriber cannot stall
-/// the run: the event is dropped and counted in the sink, and the
-/// subscriber degrades to report-only. Because events are views of
-/// already-resolved rounds, drops cannot affect the report — the
-/// determinism contract is untouched.
-#[derive(Debug)]
-pub struct StreamObserver {
-    seed: u64,
-    sink: RoundSink<RoundEvent>,
-}
-
-impl StreamObserver {
-    /// Wraps a sink; `seed` stamps every event with the run it belongs to.
-    pub fn new(seed: u64, sink: RoundSink<RoundEvent>) -> Self {
-        StreamObserver { seed, sink }
-    }
-}
-
-impl Observer for StreamObserver {
-    fn on_round(&mut self, stats: &RoundStats, informed: usize) {
-        self.sink.offer(RoundEvent {
-            seed: self.seed,
-            round: stats.round,
-            transmitters: stats.transmitters,
-            receptions: stats.receptions,
-            informed,
-        });
-    }
-
-    fn finish(&mut self, _report: &mut RunReport) {}
 }

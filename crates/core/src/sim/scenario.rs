@@ -7,7 +7,7 @@ use std::sync::{mpsc, Arc};
 use sinr_geometry::{MetricPoint, Point2, RepairPolicy};
 use sinr_netgen::churn::ChurnProcess;
 use sinr_netgen::mobility::Mobility;
-use sinr_phy::{Accumulation, InterferenceMode, KernelDispatch, Network, NetworkError, SinrParams};
+use sinr_phy::{InterferenceMode, Network, NetworkError, SinrParams};
 use sinr_runtime::{derive_seed, node_rng, Engine, EngineArena, Protocol};
 
 use crate::baselines::{DaumBroadcastNode, FloodNode, LocalBroadcastNode};
@@ -103,8 +103,6 @@ pub struct Scenario<P: MetricPoint = Point2> {
     churn: Option<ChurnSpec>,
     adversary: Option<AdversarySpec>,
     repair: RepairPolicy,
-    dispatch: KernelDispatch,
-    accumulation: Accumulation,
     observers: Vec<ObserverFactory>,
 }
 
@@ -128,8 +126,6 @@ impl<P: MetricPoint> Scenario<P> {
             churn: None,
             adversary: None,
             repair: RepairPolicy::default(),
-            dispatch: KernelDispatch::default(),
-            accumulation: Accumulation::default(),
             observers: Vec::new(),
         }
     }
@@ -301,34 +297,6 @@ impl<P: MetricPoint> Scenario<P> {
         self
     }
 
-    /// Pins the kernel tier of the batched physics kernels (default
-    /// [`KernelDispatch::Auto`]: the best tier the CPU supports, AVX2 on
-    /// x86_64 / NEON on aarch64 / scalar elsewhere).
-    /// [`KernelDispatch::ForceScalar`] runs the scalar reference path
-    /// instead. Every tier is **bit-identical per element** (the
-    /// explicit-SIMD contract, pinned by `tests/simd_equivalence.rs`),
-    /// so this knob never changes a report byte — it exists for speed
-    /// and for differential testing of the dispatch itself.
-    #[must_use]
-    pub fn kernel_dispatch(mut self, dispatch: KernelDispatch) -> Self {
-        self.dispatch = dispatch;
-        self
-    }
-
-    /// Sets the precision of the grid-native interference tail sum
-    /// (default [`Accumulation::F64`]). [`Accumulation::F32`] folds each
-    /// far-cell tail term to single precision — decode decisions and the
-    /// near field stay f64 — trading low bits of the interference totals
-    /// for throughput (error bounds in EXPERIMENTS.md). Because it
-    /// **does** change bits, [`Scenario::build`] rejects it whenever
-    /// bit-exact reporting is requested (round recording or attached
-    /// observers).
-    #[must_use]
-    pub fn accumulation(mut self, accumulation: Accumulation) -> Self {
-        self.accumulation = accumulation;
-        self
-    }
-
     /// Records per-round statistics into [`RunReport::per_round`].
     #[must_use]
     pub fn record_rounds(mut self) -> Self {
@@ -454,14 +422,6 @@ impl<P: MetricPoint> Scenario<P> {
                     "initial population estimate nu0 must be at least 1".into(),
                 ));
             }
-        }
-        if self.accumulation == Accumulation::F32 && (self.record || !self.observers.is_empty()) {
-            return Err(SimError::Spec(
-                "Accumulation::F32 changes interference bits and cannot be combined \
-                 with bit-exact reporting (record_rounds or attached observers); \
-                 drop the F32 knob or the reporting hooks"
-                    .into(),
-            ));
         }
         // Resolve the machine's thread budget exactly once per
         // Simulation: sweeps and physics threads share it, so repeated
@@ -666,8 +626,6 @@ fn setup_engine<P: MetricPoint, Pr: Protocol + 'static>(
     let mut eng = Engine::new_reusing(net, seed, make, arena);
     eng.set_physics_threads(scenario.physics_threads);
     eng.set_repair_policy(scenario.repair);
-    eng.set_kernel_dispatch(scenario.dispatch);
-    eng.set_accumulation(scenario.accumulation);
     if scenario.record {
         eng.record_rounds();
     }

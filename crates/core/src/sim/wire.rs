@@ -21,8 +21,8 @@
 use std::collections::BTreeMap;
 
 use sinr_geometry::{Point2, RepairPolicy};
-use sinr_phy::{Accumulation, InterferenceMode, KernelDispatch, SinrParams};
-use sinr_runtime::{RoundStats, WakeSchedule};
+use sinr_phy::{InterferenceMode, SinrParams};
+use sinr_runtime::{Accumulation, KernelDispatch, RoundStats, WakeSchedule};
 use sinr_wire::Value;
 
 use crate::constants::Constants;
@@ -751,32 +751,6 @@ fn repair_from_value(v: &Value) -> Result<RepairPolicy, WireError> {
     })
 }
 
-fn dispatch_to_value(d: KernelDispatch) -> Value {
-    Value::str(d.label())
-}
-
-fn dispatch_from_value(v: &Value) -> Result<KernelDispatch, WireError> {
-    match v.as_str() {
-        Some("auto") => Ok(KernelDispatch::Auto),
-        Some("scalar") => Ok(KernelDispatch::ForceScalar),
-        Some(other) => Err(WireError::new(format!("unknown kernel dispatch '{other}'"))),
-        None => Err(WireError::new("field 'kernel_dispatch' is not a string")),
-    }
-}
-
-fn accumulation_to_value(a: Accumulation) -> Value {
-    Value::str(a.label())
-}
-
-fn accumulation_from_value(v: &Value) -> Result<Accumulation, WireError> {
-    match v.as_str() {
-        Some("f64") => Ok(Accumulation::F64),
-        Some("f32") => Ok(Accumulation::F32),
-        Some(other) => Err(WireError::new(format!("unknown accumulation '{other}'"))),
-        None => Err(WireError::new("field 'accumulation' is not a string")),
-    }
-}
-
 fn constants_to_value(c: &Constants) -> Value {
     Value::Object(vec![
         ("c1_cap".into(), Value::Float(c.c1_cap)),
@@ -982,9 +956,13 @@ pub struct ScenarioSpec {
     pub physics_threads: usize,
     /// Whether to record per-round traces into the report.
     pub record: bool,
-    /// Kernel tier of the batched physics kernels (bit-neutral knob).
+    /// Has no effect and is not on the wire. Kept only for the
+    /// benchmark's stage tracer, and deleted with [`KernelDispatch`] when
+    /// that tracer is ported.
     pub kernel_dispatch: KernelDispatch,
-    /// Precision of the grid-native interference tail sum.
+    /// Has no effect and is not on the wire. Kept only for the
+    /// benchmark's stage tracer, and deleted with [`Accumulation`] when
+    /// that tracer is ported.
     pub accumulation: Accumulation,
     /// Epoch-boundary structure repair policy.
     pub repair: RepairPolicy,
@@ -1015,8 +993,8 @@ impl ScenarioSpec {
             mode: InterferenceMode::Exact,
             physics_threads: 1,
             record: false,
-            kernel_dispatch: KernelDispatch::default(),
-            accumulation: Accumulation::default(),
+            kernel_dispatch: KernelDispatch,
+            accumulation: Accumulation,
             repair: RepairPolicy::default(),
             mobility: None,
             churn: None,
@@ -1039,14 +1017,6 @@ impl ScenarioSpec {
             ("mode".into(), mode_to_value(self.mode)),
             ("physics_threads".into(), usize_value(self.physics_threads)),
             ("record".into(), Value::Bool(self.record)),
-            (
-                "kernel_dispatch".into(),
-                dispatch_to_value(self.kernel_dispatch),
-            ),
-            (
-                "accumulation".into(),
-                accumulation_to_value(self.accumulation),
-            ),
             ("repair".into(), repair_to_value(self.repair)),
             (
                 "mobility".into(),
@@ -1090,8 +1060,8 @@ impl ScenarioSpec {
             mode: mode_from_value(field(v, "mode")?)?,
             physics_threads: usize_field(v, "physics_threads")?,
             record: bool_field(v, "record")?,
-            kernel_dispatch: dispatch_from_value(field(v, "kernel_dispatch")?)?,
-            accumulation: accumulation_from_value(field(v, "accumulation")?)?,
+            kernel_dispatch: KernelDispatch,
+            accumulation: Accumulation,
             repair: repair_from_value(field(v, "repair")?)?,
             mobility: opt("mobility")?.map(mobility_from_value).transpose()?,
             churn: opt("churn")?.map(churn_from_value).transpose()?,
@@ -1136,8 +1106,6 @@ impl ScenarioSpec {
             .constants(self.constants)
             .interference_mode(self.mode)
             .physics_threads(self.physics_threads)
-            .kernel_dispatch(self.kernel_dispatch)
-            .accumulation(self.accumulation)
             .repair_policy(self.repair);
         if let Some(budget) = self.budget {
             sc = sc.budget(budget);
@@ -1588,7 +1556,6 @@ mod tests {
         spec.budget = Some(600);
         spec.mode = InterferenceMode::grid_native();
         spec.record = true;
-        spec.kernel_dispatch = KernelDispatch::ForceScalar;
         spec.mobility = Some(MobilitySpec::random_waypoint(0.2, 8));
         spec.churn = Some(ChurnSpec::poisson(1.0, 10.0, 8));
         spec.adversary = Some(AdversarySpec::cut_vertex_kill(0.2, 1, 24));
@@ -1603,34 +1570,22 @@ mod tests {
     }
 
     #[test]
-    fn kernel_knobs_roundtrip_and_reject_unknown_tags() {
+    fn retired_kernel_keys_are_ignored() {
+        // Specs written before the kernel knobs were removed still decode:
+        // the two keys, whatever their values, are unknown keys now.
         let mut spec = ScenarioSpec::new(
             TopologySpec::UniformSquare { n: 20, side: 1.0 },
             ProtocolSpec::NoSBroadcast { source: 0 },
         );
         spec.budget = Some(50);
-        assert_eq!(spec.kernel_dispatch, KernelDispatch::Auto);
-        assert_eq!(spec.accumulation, Accumulation::F64);
-        spec.kernel_dispatch = KernelDispatch::ForceScalar;
-        spec.accumulation = Accumulation::F32;
         let text = spec.encode();
-        assert!(text.contains("\"kernel_dispatch\":\"scalar\""));
-        assert!(text.contains("\"accumulation\":\"f32\""));
-        let back = ScenarioSpec::decode(&text).unwrap();
-        assert_eq!(back, spec);
-        // The F32 build()-rejection applies to wire-decoded scenarios too.
-        let sim = back.to_scenario().unwrap().record_rounds().build();
-        assert!(matches!(sim, Err(SimError::Spec(_))));
-        assert!(back.to_scenario().unwrap().build().is_ok());
-        for bad in [
-            text.replace(
-                "\"kernel_dispatch\":\"scalar\"",
-                "\"kernel_dispatch\":\"avx9\"",
-            ),
-            text.replace("\"accumulation\":\"f32\"", "\"accumulation\":\"f16\""),
-        ] {
-            assert!(ScenarioSpec::decode(&bad).is_err(), "{bad}");
-        }
+        assert!(!text.contains("kernel_dispatch") && !text.contains("accumulation"));
+        let old = text.replace(
+            "\"record\":false,",
+            "\"record\":false,\"kernel_dispatch\":\"scalar\",\"accumulation\":\"f32\",",
+        );
+        assert_ne!(old, text);
+        assert_eq!(ScenarioSpec::decode(&old).unwrap(), spec);
     }
 
     #[test]

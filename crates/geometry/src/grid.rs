@@ -789,7 +789,7 @@ impl GridIndex {
         // One criterion per query amortizes its sqrt probes over every
         // candidate cell; the per-slot test is then sqrt-free yet makes
         // bitwise the same decisions as `distance.sqrt() <= radius`.
-        let crit = crate::simd::radius_criterion(radius);
+        let crit = crate::store::radius_criterion(radius);
         self.for_each_candidate_cell(&lo, &hi, &mut |c| {
             self.store
                 .for_each_within_sq(self.cell_range(c), &cq, crit, |slot| f(self.ids[slot]));
@@ -811,7 +811,7 @@ impl GridIndex {
     /// domain, so no slice-length contract applies here.
     pub fn for_each_in_ball_at(&self, center: [f64; 3], radius: f64, mut f: impl FnMut(usize)) {
         let (lo, hi) = self.query_box_coords(&center, radius);
-        let crit = crate::simd::radius_criterion(radius);
+        let crit = crate::store::radius_criterion(radius);
         self.for_each_candidate_cell(&lo, &hi, &mut |c| {
             self.store
                 .for_each_within_sq(self.cell_range(c), &center, crit, |slot| f(self.ids[slot]));

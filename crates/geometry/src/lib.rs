@@ -19,16 +19,12 @@
 //!   paper's preliminaries;
 //! * ball mass / counting helpers in [`ball`].
 //!
-//! # Explicit SIMD
+//! # Radius tests
 //!
-//! The batched kernels dispatch at runtime to explicit `std::arch`
-//! implementations — see [`simd`] for the dispatch table (AVX2+FMA on
-//! x86_64, NEON on aarch64, scalar elsewhere), the bit-exactness
-//! contract (lane ops restricted to correctly-rounded mul/add/sub/
-//! div/sqrt/max, scalar-identical remainder handling, so every tier
-//! produces **bit-identical** results), and the `SINR_KERNELS=scalar` /
-//! [`KernelDispatch`] override hooks. Radius tests go through
-//! [`radius_criterion`], a sqrt-free predicate proven bit-equivalent to
+//! Ball queries test membership without a per-candidate `sqrt`:
+//! [`radius_criterion`] precomputes, once per query, the largest squared
+//! distance whose correctly-rounded root still passes, so the per-slot
+//! test is one exact comparison that makes bitwise the same decisions as
 //! `distance.sqrt() <= radius`.
 //!
 //! # Incremental repair
@@ -63,20 +59,15 @@
 //! assert_eq!(pts[0].distance(&pts[2]), 5.0);
 //! ```
 
-// `deny` rather than `forbid`: the `simd` module's arch submodules are the
-// workspace's only sanctioned `#[allow(unsafe_code)]` sites (sinr-lint pins
-// the allowlist to `crates/geometry/src/simd/` and `crates/phy/src/simd/`).
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod ball;
 pub mod grid;
 pub mod point;
-pub mod simd;
 pub mod store;
 
 pub use ball::{ball_indices, ball_mass, count_in_ball, covering_number};
 pub use grid::{CellKey, GridIndex, RepairPolicy};
 pub use point::{MetricPoint, Point1, Point2, Point3};
-pub use simd::{auto_tier, hardware_tier, radius_criterion, KernelDispatch, SimdTier};
-pub use store::PositionStore;
+pub use store::{radius_criterion, PositionStore};

@@ -20,9 +20,12 @@
 //! evaluates `dx·dx + dy·dy (+ dz·dz)` with the same association order as
 //! [`MetricPoint::distance_sq`], so a batched kernel produces bitwise
 //! identical floating-point values to the scalar loop it replaces.
+//!
+//! Radius tests go through [`radius_criterion`], a sqrt-free bound
+//! proven to make bitwise the same decisions as
+//! `distance_sq.sqrt() <= radius`.
 
 use crate::point::MetricPoint;
-use crate::simd::{self, SimdTier};
 
 /// Maximum number of coordinate axes supported (matches [`crate::CellKey`]).
 pub const MAX_AXES: usize = 3;
@@ -214,39 +217,33 @@ impl PositionStore {
         center: &[f64; MAX_AXES],
         out: &mut [f64],
     ) {
-        self.distance_sq_batch_with(slots, center, out, simd::auto_tier());
-    }
-
-    /// [`PositionStore::distance_sq_batch`] pinned to an explicit kernel
-    /// tier — the seam the reception oracle uses to honor a run's
-    /// [`crate::KernelDispatch`]. Every tier produces bit-identical
-    /// output (see [`crate::simd`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `out` is shorter than the slot range or the range is out
-    /// of bounds.
-    pub fn distance_sq_batch_with(
-        &self,
-        slots: std::ops::Range<usize>,
-        center: &[f64; MAX_AXES],
-        out: &mut [f64],
-        tier: SimdTier,
-    ) {
-        let len = slots.len();
-        let out = &mut out[..len];
+        let out = &mut out[..slots.len()];
         let xs = &self.coords[0][slots.clone()];
         let cx = center[0];
         match self.axes {
-            1 => simd::distance_sq_1(xs, cx, out, tier),
+            1 => {
+                for (o, &x) in out.iter_mut().zip(xs) {
+                    let dx = x - cx;
+                    *o = dx * dx;
+                }
+            }
             2 => {
                 let ys = &self.coords[1][slots];
-                simd::distance_sq_2(xs, ys, cx, center[1], out, tier);
+                for ((o, &x), &y) in out.iter_mut().zip(xs).zip(ys) {
+                    let dx = x - cx;
+                    let dy = y - center[1];
+                    *o = dx * dx + dy * dy;
+                }
             }
             _ => {
                 let ys = &self.coords[1][slots.clone()];
                 let zs = &self.coords[2][slots];
-                simd::distance_sq_3(xs, ys, zs, cx, center[1], center[2], out, tier);
+                for (((o, &x), &y), &z) in out.iter_mut().zip(xs).zip(ys).zip(zs) {
+                    let dx = x - cx;
+                    let dy = y - center[1];
+                    let dz = z - center[2];
+                    *o = dx * dx + dy * dy + dz * dz;
+                }
             }
         }
     }
@@ -283,32 +280,17 @@ impl PositionStore {
     /// `f(slot)` for every slot whose squared distance to `center` is
     /// `<= criterion`, in ascending slot order.
     ///
-    /// With `criterion = `[`crate::radius_criterion`]`(radius)` the
-    /// decisions are **bitwise identical** to
-    /// `distance_sq.sqrt() <= radius` at every slot (see that function's
-    /// monotonicity proof; the boundary is pinned exhaustively in
-    /// `tests/simd_equivalence.rs`), while skipping the per-candidate
-    /// `sqrt` — the one comparison per element then vectorizes on the
-    /// dispatched tier. [`crate::GridIndex`] ball queries compute the
-    /// criterion once per query and use this path per cell range.
+    /// With `criterion = `[`radius_criterion`]`(radius)` the decisions are
+    /// **bitwise identical** to `distance_sq.sqrt() <= radius` at every
+    /// slot (see that function's monotonicity proof; the boundary is
+    /// pinned exhaustively in `tests/batch_kernels.rs`), while skipping
+    /// the per-candidate `sqrt`. [`crate::GridIndex`] ball queries compute
+    /// the criterion once per query and use this path per cell range.
     pub fn for_each_within_sq(
         &self,
         slots: std::ops::Range<usize>,
         center: &[f64; MAX_AXES],
         criterion: f64,
-        f: impl FnMut(usize),
-    ) {
-        self.for_each_within_sq_with(slots, center, criterion, simd::auto_tier(), f)
-    }
-
-    /// [`PositionStore::for_each_within_sq`] pinned to an explicit kernel
-    /// tier.
-    pub fn for_each_within_sq_with(
-        &self,
-        slots: std::ops::Range<usize>,
-        center: &[f64; MAX_AXES],
-        criterion: f64,
-        tier: SimdTier,
         mut f: impl FnMut(usize),
     ) {
         const CHUNK: usize = 64;
@@ -316,8 +298,8 @@ impl PositionStore {
         let mut start = slots.start;
         while start < slots.end {
             let len = CHUNK.min(slots.end - start);
-            self.distance_sq_batch_with(start..start + len, center, &mut d2[..len], tier);
-            let mut mask = simd::le_mask(&d2[..len], criterion, tier);
+            self.distance_sq_batch(start..start + len, center, &mut d2[..len]);
+            let mut mask = le_mask(&d2[..len], criterion);
             // Iterating set bits low-to-high preserves ascending slot order.
             while mask != 0 {
                 let k = mask.trailing_zeros() as usize;
@@ -327,6 +309,63 @@ impl PositionStore {
             start += len;
         }
     }
+}
+
+/// Bit `i` of the result is set iff `vals[i] <= bound` (NaN fails);
+/// `vals` is at most one 64-element chunk.
+fn le_mask(vals: &[f64], bound: f64) -> u64 {
+    debug_assert!(vals.len() <= 64);
+    let mut mask = 0u64;
+    for (i, &v) in vals.iter().enumerate() {
+        if v <= bound {
+            mask |= 1u64 << i;
+        }
+    }
+    mask
+}
+
+/// The largest squared distance whose **correctly-rounded** square root
+/// is still `<= radius` — the precomputed bound behind
+/// [`PositionStore::for_each_within_sq`].
+///
+/// Equivalence proof: `x ↦ x.sqrt()` is monotone non-decreasing on
+/// `[0, +∞]` (the exact root is strictly monotone and round-to-nearest
+/// is monotone), so the predicate `x.sqrt() <= radius` is downward
+/// closed in `x`. This function binary-searches the non-negative f64 bit
+/// patterns — whose integer order equals their numeric order — for the
+/// greatest `x` satisfying it, hence for every non-NaN `d2 >= 0`:
+/// `d2 <= radius_criterion(radius)` ⇔ `d2.sqrt() <= radius`, **bitwise
+/// the same decision** at every boundary (pinned exhaustively around the
+/// criterion in `tests/batch_kernels.rs`). NaN distances fail both
+/// tests. Note `d2 <= radius * radius` is *not* equivalent: when
+/// `radius²` rounds down, squared distances just above the rounded
+/// product can still root to `<= radius`.
+///
+/// A non-finite or negative `radius` yields `-∞` (nothing passes, like
+/// the NaN-propagating scalar test); `+∞` passes everything non-NaN.
+pub fn radius_criterion(radius: f64) -> f64 {
+    if radius.is_nan() || radius < 0.0 {
+        // NaN or negative: `d2.sqrt() <= radius` is false for every d2.
+        return f64::NEG_INFINITY;
+    }
+    if radius == f64::INFINITY {
+        return f64::INFINITY;
+    }
+    // Invariant: pred(lo) holds, pred(hi) fails. Non-negative f64 bit
+    // patterns sort numerically, and every pattern in [0, inf_bits) is a
+    // finite number (NaNs sit strictly above the infinity pattern), so
+    // each probe is a valid float. ~63 sqrt probes, once per ball query.
+    let mut lo: u64 = 0; // 0.0f64.sqrt() == 0.0 <= radius
+    let mut hi: u64 = f64::INFINITY.to_bits(); // inf.sqrt() == inf > radius
+    while hi - lo > 1 {
+        let mid = lo + (hi - lo) / 2;
+        if f64::from_bits(mid).sqrt() <= radius {
+            lo = mid;
+        } else {
+            hi = mid;
+        }
+    }
+    f64::from_bits(lo)
 }
 
 #[cfg(test)]
@@ -423,10 +462,26 @@ mod tests {
             let mut want = Vec::new();
             store.for_each_within(0..pts.len(), &center, radius, |s| want.push(s));
             let mut got = Vec::new();
-            let crit = crate::simd::radius_criterion(radius);
+            let crit = radius_criterion(radius);
             store.for_each_within_sq(0..pts.len(), &center, crit, |s| got.push(s));
             assert_eq!(got, want, "radius {radius}");
         }
+    }
+
+    #[test]
+    fn radius_criterion_is_the_exact_boundary() {
+        for radius in [0.0, 1e-9, 0.5, 1.0, 2.0, 1e9, 1e154, 1e200] {
+            let crit = radius_criterion(radius);
+            assert!(crit.sqrt() <= radius, "criterion passes at r={radius}");
+            let above = f64::from_bits(crit.to_bits() + 1);
+            assert!(
+                above.sqrt() > radius,
+                "next float above criterion fails at r={radius}"
+            );
+        }
+        assert_eq!(radius_criterion(f64::INFINITY), f64::INFINITY);
+        assert_eq!(radius_criterion(-1.0), f64::NEG_INFINITY);
+        assert_eq!(radius_criterion(f64::NAN), f64::NEG_INFINITY);
     }
 
     #[test]

@@ -12,10 +12,8 @@
 //! 1. **unordered-collections** — no `HashMap`/`HashSet` in non-test code
 //!    of the deterministic crates; iteration order randomises FP sums.
 //! 2. **forbid-unsafe** — every library crate root carries
-//!    `#![forbid(unsafe_code)]` (SIMD-owning crates may relax to
-//!    `#![deny(unsafe_code)]`); `unsafe` is only permitted under the
-//!    configured SIMD allowlist paths, always with `// SAFETY:`, and the
-//!    per-crate token counts ride the `[unsafe-blocks]` ratchet.
+//!    `#![forbid(unsafe_code)]`, and `unsafe` appears in test code only,
+//!    always with `// SAFETY:`.
 //! 3. **wall-clock** — kernels never read clocks; timing belongs to bench.
 //! 4. **parallelism-resolver** — one `available_parallelism` call site.
 //! 5. **quiet-libraries** — libraries return data, binaries print.
@@ -57,8 +55,6 @@ pub struct LintReport {
     pub improvements: Vec<Drift>,
     /// Measured `unwrap()`/`expect(` counts per hot crate.
     pub panic_counts: std::collections::BTreeMap<String, u64>,
-    /// Measured `unsafe` token counts per SIMD-owning crate.
-    pub unsafe_counts: std::collections::BTreeMap<String, u64>,
 }
 
 impl LintReport {
@@ -80,9 +76,6 @@ pub fn lint_files(files: &[SourceFile], cfg: &Config, baseline: Option<&Ratchet>
             let (violations, drifts) = b.compare(&result.panic_counts);
             diagnostics.extend(violations);
             improvements = drifts;
-            let (violations, drifts) = b.compare_unsafe(&result.unsafe_counts);
-            diagnostics.extend(violations);
-            improvements.extend(drifts);
         }
         None if !result.panic_counts.is_empty() => diagnostics.push(Diagnostic {
             path: RATCHET_FILE.to_string(),
@@ -97,7 +90,6 @@ pub fn lint_files(files: &[SourceFile], cfg: &Config, baseline: Option<&Ratchet>
         diagnostics,
         improvements,
         panic_counts: result.panic_counts,
-        unsafe_counts: result.unsafe_counts,
     }
 }
 

@@ -7,8 +7,8 @@
 //! * default / `--check`: print `file:line: [rule] message` diagnostics,
 //!   exit 1 if any, 0 when clean (CI mode);
 //! * `--ratchet-update`: rewrite `lint-ratchet.toml` to the measured
-//!   panic-surface and unsafe-blocks counts (the explicit way to lower —
-//!   or, loudly, raise — the ceilings);
+//!   panic-surface counts (the explicit way to lower — or, loudly, raise
+//!   — the ceilings);
 //! * `--root <dir>`: workspace root to lint (default: current directory).
 
 #![forbid(unsafe_code)]
@@ -50,9 +50,9 @@ fn main() -> ExitCode {
             }
             for drift in &report.improvements {
                 println!(
-                    "note: [{}] surface of `{}` shrank ({} -> {}); lower the ceiling \
+                    "note: panic surface of `{}` shrank ({} -> {}); lower the ceiling \
                      with `sinr-lint --ratchet-update`",
-                    drift.table, drift.krate, drift.baseline, drift.actual
+                    drift.krate, drift.baseline, drift.actual
                 );
             }
             if report.is_clean() {
@@ -89,7 +89,6 @@ fn ratchet_update(root: &std::path::Path, cfg: &Config) -> ExitCode {
         .and_then(|t| Ratchet::parse(&t).ok());
     let new = Ratchet {
         counts: measured.clone(),
-        unsafe_counts: result.unsafe_counts.clone(),
     };
     if let Err(e) = std::fs::write(&path, new.render()) {
         eprintln!("sinr-lint: writing {}: {e}", path.display());
@@ -105,20 +104,6 @@ fn ratchet_update(root: &std::path::Path, cfg: &Config) -> ExitCode {
             Some(b) if *count < b => println!("lowered `{krate}`: {b} -> {count}"),
             Some(_) => println!("unchanged `{krate}`: {count}"),
             None => println!("added `{krate}`: {count}"),
-        }
-    }
-    for (krate, count) in &result.unsafe_counts {
-        let before = old
-            .as_ref()
-            .and_then(|o| o.unsafe_counts.get(krate).copied());
-        match before {
-            Some(b) if *count > b => println!(
-                "warning: unsafe-blocks ceiling for `{krate}` RAISED {b} -> {count}; \
-                 justify the new unsafe surface in review"
-            ),
-            Some(b) if *count < b => println!("lowered unsafe-blocks `{krate}`: {b} -> {count}"),
-            Some(_) => println!("unchanged unsafe-blocks `{krate}`: {count}"),
-            None => println!("added unsafe-blocks `{krate}`: {count}"),
         }
     }
     println!("wrote {}", path.display());

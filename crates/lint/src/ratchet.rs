@@ -1,11 +1,10 @@
-//! The debt ratchets: committed baselines that may shrink but never grow.
+//! The panic-surface ratchet: a committed baseline of `unwrap()`/`expect(`
+//! counts per hot crate that may shrink but never grow.
 //!
-//! Two tables, one file (`lint-ratchet.toml` at the workspace root):
-//! `[panic-surface]` holds `unwrap()`/`expect(` counts per hot crate and
-//! `[unsafe-blocks]` holds `unsafe` token counts per crate owning a SIMD
-//! allowlist path. The parser handles exactly the subset of TOML the file
-//! uses (comments, the two tables, `key = integer` entries) — the
-//! container has no registry, so no toml crate.
+//! The baseline lives in `lint-ratchet.toml` at the workspace root. The
+//! parser handles exactly the subset of TOML the file uses (comments, one
+//! `[panic-surface]` table, `key = integer` entries) — the build has no
+//! registry, so no toml crate.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -15,21 +14,16 @@ use crate::rules::{Diagnostic, Rule};
 /// File name of the committed baseline, relative to the linted root.
 pub const RATCHET_FILE: &str = "lint-ratchet.toml";
 
-/// Parsed baseline: per-crate ceilings for both debt tables.
+/// Parsed baseline: crate name → allowed `unwrap()`/`expect(` count.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Ratchet {
-    /// `[panic-surface]`: crate name → allowed `unwrap()`/`expect(` count.
+    /// Per-crate ceilings.
     pub counts: BTreeMap<String, u64>,
-    /// `[unsafe-blocks]`: crate name → allowed `unsafe` token count under
-    /// the SIMD allowlist paths.
-    pub unsafe_counts: BTreeMap<String, u64>,
 }
 
 /// A baseline entry whose measured count moved, for reporting.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Drift {
-    /// Which ratchet table the entry lives in.
-    pub table: &'static str,
     /// Crate whose count moved.
     pub krate: String,
     /// Committed ceiling.
@@ -42,8 +36,8 @@ impl fmt::Display for Drift {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "[{}] {}: baseline {} -> actual {}",
-            self.table, self.krate, self.baseline, self.actual
+            "{}: baseline {} -> actual {}",
+            self.krate, self.baseline, self.actual
         )
     }
 }
@@ -57,24 +51,17 @@ impl Ratchet {
     /// not understand — the file is hand-maintained, so fail loudly.
     pub fn parse(text: &str) -> Result<Ratchet, String> {
         let mut counts = BTreeMap::new();
-        let mut unsafe_counts = BTreeMap::new();
-        let mut in_unsafe_table = false;
         for (idx, raw) in text.lines().enumerate() {
             let line = raw.trim();
             if line.is_empty() || line.starts_with('#') {
                 continue;
             }
             if line.starts_with('[') {
-                match line {
-                    "[panic-surface]" => in_unsafe_table = false,
-                    "[unsafe-blocks]" => in_unsafe_table = true,
-                    _ => {
-                        return Err(format!(
-                            "{RATCHET_FILE}:{}: unknown table `{line}` (expected \
-                             `[panic-surface]` or `[unsafe-blocks]`)",
-                            idx + 1
-                        ))
-                    }
+                if line != "[panic-surface]" {
+                    return Err(format!(
+                        "{RATCHET_FILE}:{}: unknown table `{line}` (expected `[panic-surface]`)",
+                        idx + 1
+                    ));
                 }
                 continue;
             }
@@ -94,16 +81,9 @@ impl Ratchet {
                     idx + 1
                 )
             })?;
-            if in_unsafe_table {
-                unsafe_counts.insert(key, count);
-            } else {
-                counts.insert(key, count);
-            }
+            counts.insert(key, count);
         }
-        Ok(Ratchet {
-            counts,
-            unsafe_counts,
-        })
+        Ok(Ratchet { counts })
     }
 
     /// Renders the baseline back to its canonical committed form.
@@ -117,15 +97,6 @@ impl Ratchet {
              [panic-surface]\n",
         );
         for (krate, count) in &self.counts {
-            out.push_str(&format!("{krate} = {count}\n"));
-        }
-        out.push_str(
-            "\n\
-             # Unsafe-blocks ratchet: `unsafe` token counts under the SIMD kernel\n\
-             # allowlist paths, per owning crate. Same discipline: never grows.\n\
-             [unsafe-blocks]\n",
-        );
-        for (krate, count) in &self.unsafe_counts {
             out.push_str(&format!("{krate} = {count}\n"));
         }
         out
@@ -153,7 +124,6 @@ impl Ratchet {
                     ),
                 }),
                 Some(ceiling) if measured < ceiling => improvements.push(Drift {
-                    table: "panic-surface",
                     krate: krate.clone(),
                     baseline: ceiling,
                     actual: measured,
@@ -173,47 +143,6 @@ impl Ratchet {
         (violations, improvements)
     }
 
-    /// Compares measured `unsafe` token counts against `[unsafe-blocks]`.
-    /// Same contract as [`Ratchet::compare`]; violations carry
-    /// [`Rule::ForbidUnsafe`] since they report unsafe-surface growth.
-    pub fn compare_unsafe(&self, actual: &BTreeMap<String, u64>) -> (Vec<Diagnostic>, Vec<Drift>) {
-        let mut violations = Vec::new();
-        let mut improvements = Vec::new();
-        for (krate, &measured) in actual {
-            let baseline = self.unsafe_counts.get(krate).copied();
-            let entry_line = self.unsafe_entry_line(krate);
-            match baseline {
-                Some(ceiling) if measured > ceiling => violations.push(Diagnostic {
-                    path: RATCHET_FILE.to_string(),
-                    line: entry_line,
-                    rule: Rule::ForbidUnsafe,
-                    message: format!(
-                        "crate `{krate}` has {measured} `unsafe` tokens under the SIMD \
-                         allowlist, above the committed ceiling of {ceiling}; keep the \
-                         unsafe surface from growing, or update the baseline deliberately"
-                    ),
-                }),
-                Some(ceiling) if measured < ceiling => improvements.push(Drift {
-                    table: "unsafe-blocks",
-                    krate: krate.clone(),
-                    baseline: ceiling,
-                    actual: measured,
-                }),
-                Some(_) => {}
-                None => violations.push(Diagnostic {
-                    path: RATCHET_FILE.to_string(),
-                    line: 1,
-                    rule: Rule::ForbidUnsafe,
-                    message: format!(
-                        "SIMD-owning crate `{krate}` has no committed `[unsafe-blocks]` \
-                         baseline (measured {measured}); run `sinr-lint --ratchet-update`"
-                    ),
-                }),
-            }
-        }
-        (violations, improvements)
-    }
-
     /// 1-based line of a crate's entry in the canonical rendering, so
     /// ratchet diagnostics carry a real `file:line`.
     fn entry_line(&self, krate: &str) -> usize {
@@ -223,16 +152,6 @@ impl Ratchet {
             .keys()
             .position(|k| k == krate)
             .map_or(1, |i| 7 + i)
-    }
-
-    /// 1-based line of a crate's `[unsafe-blocks]` entry in the canonical
-    /// rendering: the panic table ends at `6 + counts.len()`, then a blank
-    /// line, two comment lines, and the table header.
-    fn unsafe_entry_line(&self, krate: &str) -> usize {
-        self.unsafe_counts
-            .keys()
-            .position(|k| k == krate)
-            .map_or(1, |i| 11 + self.counts.len() + i)
     }
 }
 
@@ -248,7 +167,6 @@ mod tests {
     fn parse_render_roundtrip() {
         let r = Ratchet {
             counts: counts(&[("geometry", 6), ("phy", 31), ("runtime", 14)]),
-            unsafe_counts: counts(&[("geometry", 24), ("phy", 12)]),
         };
         let parsed = Ratchet::parse(&r.render()).unwrap();
         assert_eq!(parsed, r);
@@ -272,7 +190,6 @@ mod tests {
     fn growth_is_a_violation_shrink_is_an_improvement() {
         let r = Ratchet {
             counts: counts(&[("phy", 5), ("runtime", 2), ("geometry", 1)]),
-            unsafe_counts: BTreeMap::new(),
         };
         let measured = counts(&[("phy", 6), ("runtime", 1), ("geometry", 1)]);
         let (violations, improvements) = r.compare(&measured);
@@ -282,47 +199,11 @@ mod tests {
         assert_eq!(
             improvements,
             vec![Drift {
-                table: "panic-surface",
                 krate: "runtime".into(),
                 baseline: 2,
                 actual: 1
             }]
         );
-    }
-
-    #[test]
-    fn unsafe_table_ratchets_independently() {
-        let r = Ratchet {
-            counts: counts(&[("phy", 5)]),
-            unsafe_counts: counts(&[("geometry", 3), ("phy", 2)]),
-        };
-        // Growth in the unsafe table fails even when panic counts are fine.
-        let (violations, improvements) = r.compare_unsafe(&counts(&[("geometry", 4), ("phy", 1)]));
-        assert_eq!(violations.len(), 1);
-        assert_eq!(violations[0].rule, Rule::ForbidUnsafe);
-        assert!(violations[0].message.contains("`geometry`"));
-        assert_eq!(improvements.len(), 1);
-        assert_eq!(improvements[0].table, "unsafe-blocks");
-
-        // A SIMD-owning crate with no committed entry is itself a failure.
-        let (violations, _) = r.compare_unsafe(&counts(&[("geometry", 3), ("stats", 0)]));
-        assert_eq!(violations.len(), 1);
-        assert!(violations[0]
-            .message
-            .contains("no committed `[unsafe-blocks]` baseline"));
-    }
-
-    #[test]
-    fn unsafe_entry_lines_point_into_canonical_render() {
-        let r = Ratchet {
-            counts: counts(&[("geometry", 6), ("phy", 31), ("runtime", 14)]),
-            unsafe_counts: counts(&[("geometry", 24), ("phy", 12)]),
-        };
-        let rendered = r.render();
-        let (violations, _) = r.compare_unsafe(&counts(&[("phy", 99)]));
-        let line = violations[0].line;
-        let text: Vec<&str> = rendered.lines().collect();
-        assert!(text[line - 1].starts_with("phy ="), "{:?}", text[line - 1]);
     }
 
     #[test]
@@ -337,7 +218,6 @@ mod tests {
     fn entry_lines_point_into_canonical_render() {
         let r = Ratchet {
             counts: counts(&[("geometry", 6), ("phy", 31), ("runtime", 14)]),
-            unsafe_counts: BTreeMap::new(),
         };
         let rendered = r.render();
         let (violations, _) = r.compare(&counts(&[("phy", 99)]));

@@ -20,11 +20,9 @@ pub enum Rule {
     /// No `HashMap`/`HashSet` in non-test code of the deterministic
     /// crates: unordered iteration reorders FP accumulation.
     UnorderedCollections,
-    /// Library crate roots carry `#![forbid(unsafe_code)]` — except the
-    /// roots of crates owning a `simd_unsafe_allowed_paths` entry, which
-    /// may relax to `#![deny(unsafe_code)]` (forbid cannot be overridden
-    /// by the SIMD modules' scoped allows). `unsafe` itself is permitted
-    /// only under the allowed paths, and every occurrence needs an
+    /// Library crate roots carry `#![forbid(unsafe_code)]`, and `unsafe`
+    /// is a violation anywhere outside test code, with or without a
+    /// `// SAFETY:` comment. In test code every occurrence needs an
     /// immediately preceding `// SAFETY:` comment.
     ForbidUnsafe,
     /// No `Instant::now`/`SystemTime`/`thread::sleep` anywhere except the
@@ -118,12 +116,6 @@ pub struct Config {
     pub quiet_exempt_crates: Vec<String>,
     /// The single file allowed to call `available_parallelism`.
     pub parallelism_resolver: String,
-    /// Directory prefixes (root-relative, trailing `/`) whose files may
-    /// contain `unsafe` — the explicit-SIMD kernel modules. Everything
-    /// outside these paths is unsafe-free; inside them every `unsafe`
-    /// still needs `// SAFETY:` and the per-crate token counts ride the
-    /// `[unsafe-blocks]` ratchet.
-    pub simd_unsafe_allowed_paths: Vec<String>,
 }
 
 impl Default for Config {
@@ -137,7 +129,6 @@ impl Default for Config {
             hot_crates: v(&["phy", "geometry", "runtime"]),
             quiet_exempt_crates: v(&["bench", "lint"]),
             parallelism_resolver: "crates/core/src/sim/scenario.rs".to_string(),
-            simd_unsafe_allowed_paths: v(&["crates/geometry/src/simd/", "crates/phy/src/simd/"]),
         }
     }
 }
@@ -150,8 +141,6 @@ pub struct CheckResult {
     pub diagnostics: Vec<Diagnostic>,
     /// `unwrap()`/`expect(` call counts in non-test code per hot crate.
     pub panic_counts: BTreeMap<String, u64>,
-    /// `unsafe` token counts under the SIMD allowlist, per owning crate.
-    pub unsafe_counts: BTreeMap<String, u64>,
 }
 
 /// Runs every rule over `files`. Ratchet *comparison* happens in
@@ -162,22 +151,8 @@ pub fn check_files(files: &[SourceFile], cfg: &Config) -> CheckResult {
     for c in &cfg.hot_crates {
         panic_counts.insert(c.clone(), 0);
     }
-    let mut unsafe_counts: BTreeMap<String, u64> = BTreeMap::new();
-    for c in cfg
-        .simd_unsafe_allowed_paths
-        .iter()
-        .filter_map(|p| owning_crate(p))
-    {
-        unsafe_counts.insert(c.to_string(), 0);
-    }
     for file in files {
-        check_file(
-            file,
-            cfg,
-            &mut diagnostics,
-            &mut panic_counts,
-            &mut unsafe_counts,
-        );
+        check_file(file, cfg, &mut diagnostics, &mut panic_counts);
     }
     diagnostics.sort_by(|a, b| {
         (&a.path, a.line, a.rule, &a.message).cmp(&(&b.path, b.line, b.rule, &b.message))
@@ -185,13 +160,7 @@ pub fn check_files(files: &[SourceFile], cfg: &Config) -> CheckResult {
     CheckResult {
         diagnostics,
         panic_counts,
-        unsafe_counts,
     }
-}
-
-/// The crate an allowed path belongs to (`crates/<name>/...`), if any.
-fn owning_crate(path: &str) -> Option<&str> {
-    path.strip_prefix("crates/")?.split('/').next()
 }
 
 /// A parsed `// lint: allow(<rule>) -- <reason>` annotation.
@@ -206,7 +175,6 @@ fn check_file(
     cfg: &Config,
     out: &mut Vec<Diagnostic>,
     panic_counts: &mut BTreeMap<String, u64>,
-    unsafe_counts: &mut BTreeMap<String, u64>,
 ) {
     let tokens = lex(&file.text);
     let krate = file.crate_name().to_string();
@@ -278,60 +246,30 @@ fn check_file(
     }
 
     // --- Rule 2a: crate roots forbid unsafe ------------------------
-    // Crates owning a SIMD allowlist entry cannot use `forbid` (it is
-    // not overridable by the kernels' scoped `#[allow]`s), so their
-    // roots may carry `#![deny(unsafe_code)]` instead.
-    let owns_simd_path = cfg
-        .simd_unsafe_allowed_paths
-        .iter()
-        .any(|p| owning_crate(p) == Some(krate.as_str()));
     if file.is_lib_root() && !has_forbid_unsafe(&code) {
-        if owns_simd_path {
-            if !has_deny_unsafe(&code) {
-                push(
-                    &mut findings,
-                    1,
-                    Rule::ForbidUnsafe,
-                    format!(
-                        "library crate root of `{krate}` (owner of a SIMD allowlist path) \
-                         must carry `#![deny(unsafe_code)]`"
-                    ),
-                );
-            }
-        } else {
-            push(
-                &mut findings,
-                1,
-                Rule::ForbidUnsafe,
-                "library crate root is missing `#![forbid(unsafe_code)]`".to_string(),
-            );
-        }
+        push(
+            &mut findings,
+            1,
+            Rule::ForbidUnsafe,
+            "library crate root is missing `#![forbid(unsafe_code)]`".to_string(),
+        );
     }
 
-    // --- Rule 2b: unsafe only under the allowlist, with SAFETY -----
-    let in_allowed_path = cfg
-        .simd_unsafe_allowed_paths
-        .iter()
-        .any(|p| file.rel_path.starts_with(p.as_str()));
+    // --- Rule 2b: unsafe only in test code, with SAFETY ------------
     for t in &code {
         if t.ident() != Some("unsafe") {
             continue;
         }
-        if in_allowed_path {
-            *unsafe_counts.entry(krate.clone()).or_insert(0) += 1;
-        }
-        // One diagnostic per token: outside the allowlist the location
-        // itself is the violation; a SAFETY comment cannot excuse it.
-        if !in_allowed_path && lib_context && !in_test_region(t.line) {
+        // One diagnostic per token: outside test code the token itself
+        // is the violation; a SAFETY comment cannot excuse it.
+        if !file.in_test_tree() && !in_test_region(t.line) {
             push(
                 &mut findings,
                 t.line,
                 Rule::ForbidUnsafe,
-                format!(
-                    "`unsafe` outside the SIMD allowlist ({}): move the kernel under \
-                     an allowed path or find a safe formulation",
-                    cfg.simd_unsafe_allowed_paths.join(", ")
-                ),
+                "`unsafe` outside test code: the workspace has no unsafe code; find a \
+                 safe formulation"
+                    .to_string(),
             );
         } else if !has_safety_comment(&comment_lines, t.line) {
             push(
@@ -492,22 +430,6 @@ fn has_forbid_unsafe(code: &[&Token]) -> bool {
         &|t| t.punct() == Some('!'),
         &|t| t.punct() == Some('['),
         &|t| t.ident() == Some("forbid"),
-        &|t| t.punct() == Some('('),
-        &|t| t.ident() == Some("unsafe_code"),
-        &|t| t.punct() == Some(')'),
-        &|t| t.punct() == Some(']'),
-    ];
-    code.windows(8)
-        .any(|w| w.iter().zip(&want).all(|(t, m)| m(t)))
-}
-
-/// True if the token stream contains `#![deny(unsafe_code)]`.
-fn has_deny_unsafe(code: &[&Token]) -> bool {
-    let want: [&dyn Fn(&Token) -> bool; 8] = [
-        &|t| t.punct() == Some('#'),
-        &|t| t.punct() == Some('!'),
-        &|t| t.punct() == Some('['),
-        &|t| t.ident() == Some("deny"),
         &|t| t.punct() == Some('('),
         &|t| t.ident() == Some("unsafe_code"),
         &|t| t.punct() == Some(')'),
@@ -697,70 +619,64 @@ mod tests {
             &cfg,
         );
         assert!(ok.diagnostics.is_empty());
+        // `deny` is not enough: it can be overridden by a scoped allow.
+        let deny = check_files(
+            &[file(
+                "crates/phy/src/lib.rs",
+                "#![deny(unsafe_code)]\npub fn f() {}\n",
+            )],
+            &cfg,
+        );
+        assert_eq!(rules_of(&deny), vec![(Rule::ForbidUnsafe, 1)]);
     }
 
     #[test]
     fn unsafe_requires_safety_comment() {
         let cfg = Config::default();
-        // Under an allowed SIMD path: SAFETY-less unsafe is flagged...
-        let bad = "pub fn f() { unsafe { std::hint::unreachable_unchecked() } }\n";
-        let r = check_files(&[file("crates/phy/src/simd/a.rs", bad)], &cfg);
+        // In test code, SAFETY-less unsafe is flagged...
+        let bad = "fn t() { unsafe { std::hint::unreachable_unchecked() } }\n";
+        let r = check_files(&[file("crates/phy/tests/a.rs", bad)], &cfg);
         assert_eq!(rules_of(&r), vec![(Rule::ForbidUnsafe, 1)]);
         assert!(r.diagnostics[0].message.contains("SAFETY"));
         // ...and a SAFETY comment satisfies the rule.
-        let good = "// SAFETY: guarded by the match above.\npub fn f() { unsafe { core::hint::unreachable_unchecked() } }\n";
-        let r = check_files(&[file("crates/phy/src/simd/a.rs", good)], &cfg);
+        let good = "// SAFETY: guarded by the match above.\nfn t() { unsafe { core::hint::unreachable_unchecked() } }\n";
+        let r = check_files(&[file("crates/phy/tests/a.rs", good)], &cfg);
         assert!(r.diagnostics.is_empty(), "{:?}", r.diagnostics);
-        assert_eq!(r.unsafe_counts.get("phy"), Some(&1));
     }
 
     #[test]
     fn safety_comment_block_may_sit_several_lines_up() {
         let cfg = Config::default();
         let good = "// SAFETY: all indices are in bounds by construction;\n// the caller checked the length.\nunsafe fn g() {}\n";
-        let r = check_files(&[file("crates/geometry/src/simd/a.rs", good)], &cfg);
+        let r = check_files(&[file("crates/geometry/tests/a.rs", good)], &cfg);
         assert!(r.diagnostics.is_empty(), "{:?}", r.diagnostics);
     }
 
     #[test]
-    fn unsafe_outside_the_allowlist_is_flagged_even_with_safety() {
+    fn unsafe_outside_test_code_is_flagged_even_with_safety() {
         let cfg = Config::default();
-        // A SAFETY comment cannot excuse unsafe outside the SIMD paths —
-        // the location itself is the violation, and exactly one
-        // diagnostic fires per token.
-        let src = "// SAFETY: looks justified but the path is wrong.\npub fn f() { unsafe { core::hint::unreachable_unchecked() } }\n";
-        let r = check_files(&[file("crates/stats/src/a.rs", src)], &cfg);
-        assert_eq!(rules_of(&r), vec![(Rule::ForbidUnsafe, 2)]);
-        assert!(
-            r.diagnostics[0]
-                .message
-                .contains("outside the SIMD allowlist"),
-            "{:?}",
-            r.diagnostics
-        );
-        // Tokens outside the allowlist never enter the unsafe ratchet.
-        assert!(r.unsafe_counts.values().all(|&c| c == 0));
-        // Test code and bins keep the old SAFETY-only contract.
+        // A SAFETY comment cannot excuse unsafe outside test code, in any
+        // crate, module, binary or example; exactly one diagnostic fires
+        // per token.
+        let src = "// SAFETY: looks justified but no library code may be unsafe.\npub fn f() { unsafe { core::hint::unreachable_unchecked() } }\n";
+        for path in [
+            "crates/stats/src/a.rs",
+            "crates/geometry/src/simd/mod.rs",
+            "crates/bench/src/bin/tool.rs",
+            "examples/demo.rs",
+        ] {
+            let r = check_files(&[file(path, src)], &cfg);
+            assert_eq!(rules_of(&r), vec![(Rule::ForbidUnsafe, 2)], "{path}");
+            assert!(
+                r.diagnostics[0].message.contains("outside test code"),
+                "{:?}",
+                r.diagnostics
+            );
+        }
+        // A `#[cfg(test)]` module keeps the SAFETY-comment contract.
         let test_src = "#[cfg(test)]\nmod tests {\n    #[test]\n    // SAFETY: exercising the FFI shim.\n    fn t() { unsafe { ffi() } }\n}\n";
         let r = check_files(&[file("crates/stats/src/a.rs", test_src)], &cfg);
         assert!(r.diagnostics.is_empty(), "{:?}", r.diagnostics);
-    }
-
-    #[test]
-    fn simd_owning_roots_may_deny_instead_of_forbid() {
-        let cfg = Config::default();
-        // `phy` owns an allowlist path, so its root may carry deny...
-        let deny = "#![deny(unsafe_code)]\npub fn f() {}\n";
-        let r = check_files(&[file("crates/phy/src/lib.rs", deny)], &cfg);
-        assert!(r.diagnostics.is_empty(), "{:?}", r.diagnostics);
-        // ...but not nothing at all.
-        let r = check_files(&[file("crates/phy/src/lib.rs", "pub fn f() {}\n")], &cfg);
-        assert_eq!(rules_of(&r), vec![(Rule::ForbidUnsafe, 1)]);
-        assert!(r.diagnostics[0].message.contains("deny(unsafe_code)"));
-        // Non-owning crates cannot downgrade to deny.
-        let r = check_files(&[file("crates/stats/src/lib.rs", deny)], &cfg);
-        assert_eq!(rules_of(&r), vec![(Rule::ForbidUnsafe, 1)]);
-        assert!(r.diagnostics[0].message.contains("forbid(unsafe_code)"));
     }
 
     #[test]

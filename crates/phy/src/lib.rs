@@ -115,29 +115,6 @@
 //! file was produced on a single-core container, where t8/t1 ≈ 1.0 by
 //! construction — regenerate on real hardware for meaningful scaling).
 //!
-//! # Explicit SIMD
-//!
-//! Both halves of the SoA hot path now dispatch to explicit `std::arch`
-//! kernels at runtime rather than relying on autovectorization:
-//! distances through [`sinr_geometry::simd`] and the α ∈ {2, 3, 4}
-//! path-loss maps through [`crate::simd`] (AVX2+FMA on x86_64, NEON on
-//! aarch64, scalar elsewhere; generic-α `powf` stays scalar). Every
-//! lane op is correctly rounded and applied in the scalar association
-//! order, so **all tiers are bit-identical per element** — dispatch is
-//! a pure speed knob, pinned by `tests/simd_equivalence.rs` and the
-//! byte-equal `RunReport` batteries. A run can force the scalar
-//! reference path via [`ReceptionOracle::set_dispatch`] /
-//! `Scenario::kernel_dispatch` ([`KernelDispatch::ForceScalar`]) or
-//! process-wide with `SINR_KERNELS=scalar` (the CI leg).
-//!
-//! Orthogonally, [`Accumulation::F32`] (default [`Accumulation::F64`])
-//! accumulates the grid-native far-field *tail* sum in f32 — decode
-//! decisions and the near field stay f64. This is the one knob that
-//! **does** change bits: relative tail error stays within ~2⁻²⁴·√k for
-//! k far-cell terms (measured ≤ 4×10⁻⁷ at n = 10⁴, see
-//! EXPERIMENTS.md), and the `Scenario` builder refuses to combine it
-//! with bit-exact reporting (round recording or attached observers).
-//!
 //! # Example
 //!
 //! ```
@@ -154,11 +131,7 @@
 //! # Ok::<(), sinr_phy::NetworkError>(())
 //! ```
 
-// `deny` rather than `forbid`: the `simd` module's arch submodules are the
-// workspace's only sanctioned `#[allow(unsafe_code)]` sites besides
-// sinr-geometry's (sinr-lint pins the allowlist to
-// `crates/geometry/src/simd/` and `crates/phy/src/simd/`).
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod bounds;
@@ -169,15 +142,14 @@ pub mod oracle;
 pub mod params;
 pub mod pool;
 pub mod reception;
-pub mod simd;
 
 pub use bounds::ParamBounds;
 pub use commgraph::{CommGraph, GraphScratch, UNREACHABLE};
 pub use network::{ChurnDelta, Network, NetworkError};
-pub use oracle::{Accumulation, ReceptionOracle};
+pub use oracle::ReceptionOracle;
 pub use params::{ParamError, SinrParams, SinrParamsBuilder};
 pub use pool::KernelPool;
 pub use reception::{
     interference_at, resolve_round, total_signal_at, InterferenceMode, RoundOutcome,
 };
-pub use sinr_geometry::{KernelDispatch, RepairPolicy, SimdTier};
+pub use sinr_geometry::RepairPolicy;

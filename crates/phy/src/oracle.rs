@@ -34,39 +34,11 @@
 //! kernels ([`sinr_geometry::PositionStore`],
 //! [`SinrParams::signal_at_sq_batch`]).
 
-use sinr_geometry::{CellKey, GridIndex, KernelDispatch, MetricPoint, PositionStore, SimdTier};
+use sinr_geometry::{CellKey, GridIndex, MetricPoint, PositionStore};
 
 use crate::params::SinrParams;
 use crate::pool::{KernelPool, ShardScratch};
 use crate::reception::{InterferenceMode, RoundOutcome};
-
-/// Floating-point width of the grid-native interference **tail** sum.
-///
-/// `F64` (the default) keeps the historical bit-exact accumulation.
-/// `F32` accumulates the far-cell tail in single precision — decode
-/// decisions and every near-field term stay f64, so only the shared
-/// per-cell tail loses precision: relative error within ~2⁻²⁴·√k over k
-/// far-cell terms (measured ≤ 4×10⁻⁷ at n = 10⁴; see EXPERIMENTS.md).
-/// Because this **changes bits**, the `Scenario` builder refuses to
-/// combine it with round recording or attached observers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Accumulation {
-    /// Double-precision tail accumulation (bit-exact, the default).
-    #[default]
-    F64,
-    /// Single-precision tail accumulation (opt-in speed/accuracy trade).
-    F32,
-}
-
-impl Accumulation {
-    /// Stable wire/diagnostic label: `f64` or `f32`.
-    pub fn label(self) -> &'static str {
-        match self {
-            Accumulation::F64 => "f64",
-            Accumulation::F32 => "f32",
-        }
-    }
-}
 
 /// Batch width of the SoA distance/signal kernels: a cache-line-friendly
 /// stack buffer, long enough to amortise the loop overhead and keep the
@@ -128,10 +100,6 @@ pub struct ReceptionOracle {
     slot_best_idx: Vec<usize>,
     /// Single-shard pool backing the serial entry points.
     fallback: KernelPool,
-    /// Kernel tier override for the batched accumulate kernels.
-    dispatch: KernelDispatch,
-    /// Precision of the grid-native tail sum.
-    accumulation: Accumulation,
 }
 
 impl ReceptionOracle {
@@ -158,34 +126,6 @@ impl ReceptionOracle {
         self.best_pow.fill(0.0);
         self.best_idx.fill(usize::MAX);
         self.is_tx.fill(false);
-    }
-
-    /// Sets the kernel dispatch for the batched accumulate kernels.
-    ///
-    /// [`KernelDispatch::Auto`] (the default) resolves once to the best
-    /// tier the CPU supports; [`KernelDispatch::ForceScalar`] pins the
-    /// scalar reference path. Both produce **bit-identical** results —
-    /// this is a speed knob and a differential-testing hook, not a
-    /// semantics knob.
-    pub fn set_dispatch(&mut self, dispatch: KernelDispatch) {
-        self.dispatch = dispatch;
-    }
-
-    /// The configured kernel dispatch.
-    pub fn dispatch(&self) -> KernelDispatch {
-        self.dispatch
-    }
-
-    /// Sets the precision of the grid-native interference tail sum (see
-    /// [`Accumulation`]; `F32` changes low bits of the interference
-    /// totals and is rejected by bit-exact reporting configurations).
-    pub fn set_accumulation(&mut self, accumulation: Accumulation) {
-        self.accumulation = accumulation;
-    }
-
-    /// The configured tail accumulation precision.
-    pub fn accumulation(&self) -> Accumulation {
-        self.accumulation
     }
 
     /// Total received power per station from the last resolved round
@@ -428,10 +368,6 @@ impl ReceptionOracle {
         self.slot_best_pow.resize(n, 0.0);
         self.slot_best_idx.resize(n, usize::MAX);
         let near_cells = (near_radius / grid.cell_side()).ceil() as i64;
-        // Resolve the dispatch once per round; every shard runs the same
-        // tier (results are tier-invariant anyway, this is for speed).
-        let tier = self.dispatch.resolve();
-        let accumulation = self.accumulation;
         let shards = pool.plan_cells(grid);
         let (bounds, scratches) = pool.parts();
         let tx_cells = &self.tx_cells;
@@ -471,8 +407,6 @@ impl ReceptionOracle {
                     bucket_starts,
                     bucket_centroids,
                     tx_pos,
-                    tier,
-                    accumulation,
                 )
             },
         );
@@ -586,8 +520,6 @@ fn grid_native_cells(
     bucket_starts: &[usize],
     bucket_centroids: &[[f64; 3]],
     tx_pos: &PositionStore,
-    tier: SimdTier,
-    accumulation: Accumulation,
 ) {
     let buckets = bucket_starts.len().saturating_sub(1);
     let store = grid.positions();
@@ -603,12 +535,7 @@ fn grid_native_cells(
         // once.
         scratch.near_pos.reset_axes(axes);
         scratch.near_t.clear();
-        // Tail accumulators: exactly one is live per `accumulation`
-        // setting. F64 keeps the historical bit-exact sum; F32 folds each
-        // far-cell term to single precision before adding (the opt-in
-        // precision trade — near terms and decode never go through this).
         let mut tail = 0.0f64;
-        let mut tail32 = 0.0f32;
         for b in 0..buckets {
             let bkey = tx_cells[bucket_starts[b]].0;
             let cheb = (0..axes)
@@ -629,15 +556,8 @@ fn grid_native_cells(
                     d2 += dd * dd;
                 }
                 let count = (bucket_starts[b + 1] - bucket_starts[b]) as f64;
-                let term = count * params.signal_at_sq(d2);
-                match accumulation {
-                    Accumulation::F64 => tail += term,
-                    Accumulation::F32 => tail32 += term as f32,
-                }
+                tail += count * params.signal_at_sq(d2);
             }
-        }
-        if accumulation == Accumulation::F32 {
-            tail = tail32 as f64;
         }
         let near_len = scratch.near_t.len();
         for slot in grid.cell_range(c) {
@@ -655,8 +575,8 @@ fn grid_native_cells(
                 let len = CHUNK.min(near_len - i);
                 scratch
                     .near_pos
-                    .distance_sq_batch_with(i..i + len, &pu, &mut sig[..len], tier);
-                params.signal_at_sq_batch_with(&mut sig[..len], tier);
+                    .distance_sq_batch(i..i + len, &pu, &mut sig[..len]);
+                params.signal_at_sq_batch(&mut sig[..len]);
                 for (k, &s) in sig[..len].iter().enumerate() {
                     let t = scratch.near_t[i + k];
                     if t == u {
@@ -751,60 +671,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn forced_scalar_dispatch_is_bitwise_identical_to_auto() {
-        let pts = spread(400);
-        let grid = GridIndex::build(&pts, 1.0);
-        let p = params();
-        let tx: Vec<usize> = (0..400).step_by(11).collect();
-        let mode = InterferenceMode::GridNative { near_radius: 4.0 };
-        let mut auto_oracle = ReceptionOracle::new();
-        assert_eq!(auto_oracle.dispatch(), KernelDispatch::Auto);
-        let auto_out = auto_oracle.resolve(&pts, &p, &tx, mode, Some(&grid));
-        let mut scalar_oracle = ReceptionOracle::new();
-        scalar_oracle.set_dispatch(KernelDispatch::ForceScalar);
-        let scalar_out = scalar_oracle.resolve(&pts, &p, &tx, mode, Some(&grid));
-        assert_eq!(auto_out, scalar_out);
-        for (u, (a, b)) in auto_oracle
-            .received_power()
-            .iter()
-            .zip(scalar_oracle.received_power())
-            .enumerate()
-        {
-            assert_eq!(a.to_bits(), b.to_bits(), "power differs at {u}");
-        }
-    }
-
-    #[test]
-    fn f32_tail_stays_close_and_decodes_identically_here() {
-        // Not a bit-exactness claim (F32 intentionally changes bits) —
-        // pins that the tail error is tiny relative to the totals and
-        // that near-field/decode state is untouched on this deployment.
-        let pts = spread(400);
-        let grid = GridIndex::build(&pts, 1.0);
-        let p = params();
-        let tx: Vec<usize> = (0..400).step_by(11).collect();
-        let mode = InterferenceMode::GridNative { near_radius: 4.0 };
-        let mut exact = ReceptionOracle::new();
-        let exact_out = exact.resolve(&pts, &p, &tx, mode, Some(&grid));
-        let mut f32_oracle = ReceptionOracle::new();
-        assert_eq!(f32_oracle.accumulation(), Accumulation::F64);
-        f32_oracle.set_accumulation(Accumulation::F32);
-        let f32_out = f32_oracle.resolve(&pts, &p, &tx, mode, Some(&grid));
-        assert_eq!(exact_out.decoded_from, f32_out.decoded_from);
-        let mut worst = 0.0f64;
-        for (a, b) in exact
-            .received_power()
-            .iter()
-            .zip(f32_oracle.received_power())
-        {
-            if *a > 0.0 {
-                worst = worst.max((a - b).abs() / a);
-            }
-        }
-        assert!(worst <= 1e-5, "relative tail error {worst} too large");
     }
 
     #[test]

@@ -268,23 +268,22 @@ impl SinrParams {
     /// [`sinr_geometry::PositionStore::distance_sq_batch`] fills the
     /// buffer, this converts it to signals, and the caller accumulates.
     pub fn signal_at_sq_batch(&self, d2: &mut [f64]) {
-        self.signal_at_sq_batch_with(d2, sinr_geometry::auto_tier());
-    }
-
-    /// [`SinrParams::signal_at_sq_batch`] pinned to an explicit kernel
-    /// tier — the seam the reception oracle uses to honor a run's
-    /// [`sinr_geometry::KernelDispatch`]. Every tier produces
-    /// bit-identical output (see [`crate::simd`]); generic non-integer
-    /// α always runs the scalar `powf` loop regardless of tier.
-    pub fn signal_at_sq_batch_with(&self, d2: &mut [f64], tier: sinr_geometry::SimdTier) {
         const MIN2: f64 = SinrParams::MIN_DISTANCE * SinrParams::MIN_DISTANCE;
         let p = self.power();
         if self.alpha == 2.0 {
-            crate::simd::signal_alpha2(d2, p, MIN2, tier);
+            for v in d2 {
+                *v = p / (*v).max(MIN2);
+            }
         } else if self.alpha == 3.0 {
-            crate::simd::signal_alpha3(d2, p, MIN2, tier);
+            for v in d2 {
+                let c = (*v).max(MIN2);
+                *v = p / (c * c.sqrt());
+            }
         } else if self.alpha == 4.0 {
-            crate::simd::signal_alpha4(d2, p, MIN2, tier);
+            for v in d2 {
+                let c = (*v).max(MIN2);
+                *v = p / (c * c);
+            }
         } else {
             let e = -self.alpha * 0.5;
             for v in d2 {

@@ -14,11 +14,7 @@
 //! every per-receiver floating-point sum is
 //! accumulated in the same order as the serial kernel, and no shard
 //! writes outside its range — so resolved rounds are bitwise identical
-//! at any thread count (pinned by `tests/mode_determinism.rs`). The
-//! same holds across kernel tiers: the batched SoA kernels each shard
-//! runs dispatch to explicit SIMD ([`crate::simd`]) resolved once per
-//! round, with every tier bit-identical per element, so thread count
-//! and dispatch compose freely without changing a single bit.
+//! at any thread count (pinned by `tests/mode_determinism.rs`).
 //!
 //! [`Engine`]: ../../sinr_runtime/struct.Engine.html
 //! [`ReceptionOracle::resolve_into_with`]: crate::ReceptionOracle::resolve_into_with

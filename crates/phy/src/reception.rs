@@ -38,9 +38,17 @@ pub enum InterferenceMode {
     /// error per far term of roughly `α·g·√2 / near_radius` (cell side
     /// `g`; both centroid offsets are at most `g·√2/2` and first-order
     /// errors partially cancel across a cell's members). Decode decisions
-    /// are exact whenever the SINR margin exceeds that tail perturbation,
-    /// and because the tail is *estimated*, not dropped, errors do not
-    /// systematically favour reception.
+    /// are exact whenever the SINR margin exceeds that tail perturbation.
+    ///
+    /// The tail error is biased toward reception. `d^−α` is subharmonic in
+    /// the plane (its Laplacian is `α²·d^{−α−2} > 0`), so for members
+    /// spread about their centroids the centroid-to-centroid term
+    /// under-estimates a far cell's mean interference. Less interference
+    /// means a higher SINR, so near the threshold this mode decodes more
+    /// transmissions that `Exact` drops than it drops transmissions that
+    /// `Exact` decodes: on random transmitter sets over uniform density-30
+    /// deployments, these false receptions outnumbered the false drops at
+    /// every load measured (from 126:78 up to 1 638:978).
     ///
     /// Cost: `O(|T| log |T| + #cells·#tx-cells + near pairs)` per round,
     /// with no square-root/`powf` per far pair — measured ~27× faster than

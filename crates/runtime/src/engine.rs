@@ -47,6 +47,27 @@ impl Default for EngineArena {
     }
 }
 
+/// The argument of [`Engine::set_kernel_dispatch`], which has no effect:
+/// every batch kernel is a scalar loop, so there is no kernel tier to
+/// choose.
+///
+/// It remains only because the whole-run benchmark's stage tracer
+/// (`e2e-bench/src/traced.rs`) rebuilds the engine by hand and calls the
+/// setter. Porting that tracer onto an engine probe seam removes the last
+/// caller; that change deletes this type, the setter and the matching
+/// `ScenarioSpec` field.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct KernelDispatch;
+
+/// The argument of [`Engine::set_accumulation`], which has no effect: the
+/// grid-native interference tail is always summed in f64.
+///
+/// It remains only for the same caller as [`KernelDispatch`], and goes
+/// with it when the benchmark's stage tracer is ported onto an engine
+/// probe seam.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Accumulation;
+
 /// Result of driving an engine until a predicate or a round budget.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RunResult {
@@ -243,15 +264,11 @@ impl<P: MetricPoint, Pr: Protocol> Engine<P, Pr> {
         net: Network<P>,
         seed: u64,
         mut make_node: impl FnMut(usize) -> Pr,
-        mut oracle: ReceptionOracle,
+        oracle: ReceptionOracle,
         pool: KernelPool,
         outcome: RoundOutcome,
         graph_scratch: GraphScratch,
     ) -> Self {
-        // A recycled oracle must not leak the previous trial's kernel
-        // knobs into this one (the arena's results-neutrality contract).
-        oracle.set_dispatch(sinr_phy::KernelDispatch::default());
-        oracle.set_accumulation(sinr_phy::Accumulation::default());
         let n = net.len();
         let nodes = (0..n).map(&mut make_node).collect();
         let rngs = (0..n).map(|i| node_rng(seed, i as u64, 0)).collect();
@@ -419,32 +436,15 @@ impl<P: MetricPoint, Pr: Protocol> Engine<P, Pr> {
         self.net.set_repair_policy(policy);
     }
 
-    /// Pins the kernel tier of the batched physics kernels
-    /// ([`sinr_phy::ReceptionOracle::set_dispatch`]). `Auto` (the
-    /// default) dispatches to the best tier the CPU supports;
-    /// `ForceScalar` runs the scalar reference path. Results are
-    /// **bit-identical** either way — a speed/differential-testing knob.
-    pub fn set_kernel_dispatch(&mut self, dispatch: sinr_phy::KernelDispatch) {
-        self.oracle.set_dispatch(dispatch);
-    }
+    /// Has no effect: every batch kernel is a scalar loop, so there is
+    /// nothing to dispatch. Kept only for the benchmark's stage tracer,
+    /// and deleted with [`KernelDispatch`] when that tracer is ported.
+    pub fn set_kernel_dispatch(&mut self, _dispatch: KernelDispatch) {}
 
-    /// The configured kernel dispatch.
-    pub fn kernel_dispatch(&self) -> sinr_phy::KernelDispatch {
-        self.oracle.dispatch()
-    }
-
-    /// Sets the precision of the grid-native interference tail sum
-    /// ([`sinr_phy::ReceptionOracle::set_accumulation`]). `F32` changes
-    /// low bits of the interference totals; the `Scenario` builder
-    /// rejects it whenever bit-exact reporting is requested.
-    pub fn set_accumulation(&mut self, accumulation: sinr_phy::Accumulation) {
-        self.oracle.set_accumulation(accumulation);
-    }
-
-    /// The configured tail accumulation precision.
-    pub fn accumulation(&self) -> sinr_phy::Accumulation {
-        self.oracle.accumulation()
-    }
+    /// Has no effect: the grid-native interference tail is always summed
+    /// in f64. Kept only for the benchmark's stage tracer, and deleted
+    /// with [`Accumulation`] when that tracer is ported.
+    pub fn set_accumulation(&mut self, _accumulation: Accumulation) {}
 
     /// Per-node transmission counts so far — the standard energy proxy for
     /// duty-cycled radios (transmitting dominates the energy budget).

@@ -22,15 +22,13 @@ pub mod adversary;
 pub mod engine;
 pub mod protocol;
 pub mod rng;
-pub mod stream;
 pub mod trace;
 
 pub use adversary::{
     BlackoutAdversary, CutVertexAdversary, FaultDelta, FaultPlan, FaultPlanSet, FaultView,
     JamAdversary, PhaseCrashAdversary, WakeSchedule,
 };
-pub use engine::{Engine, EngineArena, FaultStats, RunResult};
+pub use engine::{Accumulation, Engine, EngineArena, FaultStats, KernelDispatch, RunResult};
 pub use protocol::{bernoulli, NodeCtx, Protocol, TopologyChange};
 pub use rng::{derive_seed, node_rng};
-pub use stream::{RoundEvent, RoundSink};
 pub use trace::{RoundStats, Trace};

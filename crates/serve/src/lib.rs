@@ -10,13 +10,17 @@
 //! shared pool, and receive `round` events live plus one `report` event
 //! per finished trial.
 //!
-//! # Backpressure
+//! # Ordering and backpressure
 //!
-//! Round events reach each subscriber through a bounded lossy
-//! [`RoundSink`] channel: a reader that falls behind loses round events
-//! (counted, reported in its `done` event) but **never stalls the
-//! engine** — and always still receives every `report`, which travels
-//! on a separate unbounded control channel whose sends never block.
+//! Each connection has one outgoing queue, and its writer thread sends
+//! the queued events in the order they were emitted: a job's `accepted`
+//! precedes its rounds, and its rounds precede the `report` and `done`
+//! that trail them. Round events are lossy: once a subscriber has
+//! [`ROUND_CHANNEL_CAPACITY`] round lines queued but not yet written,
+//! further rounds are dropped (counted, reported in its `done` event), so
+//! a reader that falls behind **never stalls the engine**. Every other
+//! event is always queued, so a slow reader still receives every
+//! `report`.
 //!
 //! # Failure isolation
 //!
@@ -47,7 +51,7 @@
 
 use std::any::Any;
 use std::collections::{BTreeMap, VecDeque};
-use std::io::{self, BufRead, BufReader, Read, Write};
+use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -57,16 +61,14 @@ use std::thread;
 use std::time::Duration;
 
 use sinr_core::sim::wire::run_report_to_value;
-use sinr_core::sim::{
-    encode_run_report, EngineArena, Observer, RoundSink, ScenarioSpec, Simulation,
-};
+use sinr_core::sim::{encode_run_report, EngineArena, Observer, ScenarioSpec, Simulation};
 use sinr_geometry::Point2;
 use sinr_runtime::RoundStats;
 use sinr_wire::Value;
 
-/// Round events buffered per subscriber before the lossy sink starts
-/// dropping. Sized to absorb normal writer-thread scheduling jitter;
-/// a genuinely slow reader degrades to report-only.
+/// Round lines a subscriber may have queued but not yet written before
+/// further rounds are dropped. Sized to absorb normal writer-thread
+/// scheduling jitter; a genuinely slow reader degrades to report-only.
 pub const ROUND_CHANNEL_CAPACITY: usize = 1024;
 
 /// How often blocked writer loops re-check the shutdown flag.
@@ -122,31 +124,56 @@ fn done_line(job: u64, dropped: u64) -> String {
 // Subscribers and jobs
 // ---------------------------------------------------------------------
 
-/// One registration of a connection on a job: a lossy bounded round
-/// channel plus a reliable unbounded control channel. Both receivers
-/// are drained by the connection's writer thread.
+/// One line on a connection's outgoing queue.
+enum Line {
+    /// A line that is always delivered (`accepted`, `report`, `done`,
+    /// `pong`, `error`).
+    Control(String),
+    /// A round line, with its subscriber's count of unwritten round lines
+    /// for the writer to release once the line is out.
+    Round(String, Arc<AtomicUsize>),
+}
+
+/// One registration of a connection on a job. Every event goes through
+/// the connection's one outgoing queue, so the connection receives them
+/// in emission order.
 struct Subscriber {
     stream_rounds: bool,
-    round: Mutex<RoundSink<String>>,
-    control: Sender<String>,
+    /// Round lines queued on the connection and not yet written.
+    unwritten_rounds: Arc<AtomicUsize>,
+    dropped_rounds: AtomicU64,
+    tx: Sender<Line>,
 }
 
 impl Subscriber {
-    /// Lossy: a full channel or departed reader counts a drop.
+    /// Lossy: past [`ROUND_CHANNEL_CAPACITY`] unwritten round lines, or
+    /// with the connection gone, the round is dropped and counted.
     fn offer_round(&self, line: &str) {
-        if self.stream_rounds {
-            self.round.lock().unwrap().offer(line.to_string());
+        if !self.stream_rounds {
+            return;
+        }
+        let queued = self.unwritten_rounds.fetch_add(1, Ordering::SeqCst) < ROUND_CHANNEL_CAPACITY
+            && self
+                .tx
+                .send(Line::Round(
+                    line.to_string(),
+                    Arc::clone(&self.unwritten_rounds),
+                ))
+                .is_ok();
+        if !queued {
+            self.unwritten_rounds.fetch_sub(1, Ordering::SeqCst);
+            self.dropped_rounds.fetch_add(1, Ordering::SeqCst);
         }
     }
 
-    /// Reliable and non-blocking (unbounded channel); a departed reader
+    /// Reliable and non-blocking (unbounded queue); a departed reader
     /// just discards.
     fn push_control(&self, line: String) {
-        let _ = self.control.send(line);
+        let _ = self.tx.send(Line::Control(line));
     }
 
     fn dropped(&self) -> u64 {
-        self.round.lock().unwrap().dropped()
+        self.dropped_rounds.load(Ordering::SeqCst)
     }
 }
 
@@ -380,87 +407,77 @@ fn worker(shared: &Shared) {
 // ---------------------------------------------------------------------
 
 /// The per-connection outgoing half shared between the reader (which
-/// registers new subscriptions) and the writer thread (which drains
-/// them into the socket).
+/// queues responses and registers subscriptions) and the writer thread
+/// (which writes the queue to the socket).
 struct Outgoing {
-    control_tx: Sender<String>,
-    /// Receivers of every round channel subscribed on this connection.
-    round_rxs: Mutex<Vec<Receiver<String>>>,
+    tx: Sender<Line>,
     /// Set by the reader when it refuses the connection's input: the
     /// writer delivers the queued events, then closes the socket.
     closing: AtomicBool,
 }
 
 impl Outgoing {
-    fn drain_rounds(&self, out: &mut impl Write) -> io::Result<()> {
-        for rx in self.round_rxs.lock().unwrap().iter() {
-            for line in rx.try_iter() {
-                out.write_all(line.as_bytes())?;
-            }
+    fn send(&self, line: String) -> Result<(), String> {
+        self.tx
+            .send(Line::Control(line))
+            .map_err(|_| "connection closed".to_string())
+    }
+}
+
+fn write_line(out: &mut impl Write, line: Line) -> io::Result<()> {
+    match line {
+        Line::Control(text) => out.write_all(text.as_bytes()),
+        Line::Round(text, unwritten) => {
+            let written = out.write_all(text.as_bytes());
+            unwritten.fetch_sub(1, Ordering::SeqCst);
+            written
         }
-        Ok(())
     }
 }
 
-fn flush_outgoing(
-    stream: &mut TcpStream,
-    outgoing: &Outgoing,
-    line: Option<String>,
-) -> io::Result<()> {
-    // Rounds queued before a control event was sent are already in
-    // their channels (channel sends happen-before), so draining rounds
-    // first keeps `report`/`done` after the rounds they trail.
-    outgoing.drain_rounds(stream)?;
-    if let Some(line) = line {
-        stream.write_all(line.as_bytes())?;
+/// Writes `first` and everything queued behind it, then flushes once.
+fn write_queued(out: &mut impl Write, first: Line, rx: &Receiver<Line>) -> io::Result<()> {
+    write_line(out, first)?;
+    for line in rx.try_iter() {
+        write_line(out, line)?;
     }
-    stream.flush()
+    out.flush()
 }
 
-fn writer_loop(
-    shared: &Shared,
-    outgoing: &Outgoing,
-    control_rx: &Receiver<String>,
-    mut stream: TcpStream,
-) {
+fn writer_loop(shared: &Shared, outgoing: &Outgoing, rx: &Receiver<Line>, stream: TcpStream) {
+    let mut out = BufWriter::new(stream);
     loop {
         if outgoing.closing.load(Ordering::SeqCst) {
             // Every line the reader queued before setting the flag is
-            // already in the channel.
-            for line in control_rx.try_iter() {
-                if flush_outgoing(&mut stream, outgoing, Some(line)).is_err() {
-                    return;
-                }
+            // already in the queue.
+            if let Ok(first) = rx.try_recv() {
+                let _ = write_queued(&mut out, first, rx);
             }
-            let _ = stream.shutdown(Shutdown::Both);
+            let _ = out.get_ref().shutdown(Shutdown::Both);
             return;
         }
-        match control_rx.recv_timeout(TICK) {
-            Ok(line) => {
-                if flush_outgoing(&mut stream, outgoing, Some(line)).is_err() {
+        match rx.recv_timeout(TICK) {
+            Ok(first) => {
+                if write_queued(&mut out, first, rx).is_err() {
                     return;
                 }
             }
             Err(RecvTimeoutError::Timeout) => {
-                if flush_outgoing(&mut stream, outgoing, None).is_err() || shared.is_shutdown() {
+                if shared.is_shutdown() {
                     return;
                 }
             }
-            Err(RecvTimeoutError::Disconnected) => {
-                let _ = flush_outgoing(&mut stream, outgoing, None);
-                return;
-            }
+            Err(RecvTimeoutError::Disconnected) => return,
         }
     }
 }
 
-fn subscribe(job: &Arc<Job>, outgoing: &Arc<Outgoing>, stream_rounds: bool) {
-    let (sink, rx) = RoundSink::bounded(ROUND_CHANNEL_CAPACITY);
-    outgoing.round_rxs.lock().unwrap().push(rx);
+fn subscribe(job: &Arc<Job>, outgoing: &Outgoing, stream_rounds: bool) {
     let sub = Arc::new(Subscriber {
         stream_rounds,
-        round: Mutex::new(sink),
-        control: outgoing.control_tx.clone(),
+        unwritten_rounds: Arc::new(AtomicUsize::new(0)),
+        dropped_rounds: AtomicU64::new(0),
+        tx: outgoing.tx.clone(),
     });
     // Lock order mirrors push_report (reports, then subscribers), so
     // replay plus live fan-out hand each report to this subscriber
@@ -482,7 +499,7 @@ fn subscribe(job: &Arc<Job>, outgoing: &Arc<Outgoing>, stream_rounds: bool) {
     drop(reports);
 }
 
-fn handle_submit(shared: &Shared, outgoing: &Arc<Outgoing>, req: &Value) -> Result<(), String> {
+fn handle_submit(shared: &Shared, outgoing: &Outgoing, req: &Value) -> Result<(), String> {
     let spec_value = req.get("spec").ok_or("submit is missing 'spec'")?;
     let spec = ScenarioSpec::from_value(spec_value).map_err(|e| e.to_string())?;
     let seeds_value = req
@@ -516,19 +533,17 @@ fn handle_submit(shared: &Shared, outgoing: &Arc<Outgoing>, req: &Value) -> Resu
     });
     subscribe(&job, outgoing, stream_rounds);
     shared.jobs.lock().unwrap().insert(id, Arc::clone(&job));
-    outgoing
-        .control_tx
-        .send(event_line(vec![
-            ("event".into(), Value::str("accepted")),
-            ("job".into(), Value::UInt(id)),
-            ("trials".into(), Value::UInt(seeds.len() as u64)),
-        ]))
-        .map_err(|_| "connection closed".to_string())?;
+    // Queued before any trial is, so `accepted` precedes every round.
+    outgoing.send(event_line(vec![
+        ("event".into(), Value::str("accepted")),
+        ("job".into(), Value::UInt(id)),
+        ("trials".into(), Value::UInt(seeds.len() as u64)),
+    ]))?;
     shared.enqueue(&job, &seeds);
     Ok(())
 }
 
-fn handle_attach(shared: &Shared, outgoing: &Arc<Outgoing>, req: &Value) -> Result<(), String> {
+fn handle_attach(shared: &Shared, outgoing: &Outgoing, req: &Value) -> Result<(), String> {
     let id = req
         .get("job")
         .and_then(Value::as_u64)
@@ -540,36 +555,32 @@ fn handle_attach(shared: &Shared, outgoing: &Arc<Outgoing>, req: &Value) -> Resu
         .get(&id)
         .cloned()
         .ok_or_else(|| format!("no such job {id}"))?;
-    outgoing
-        .control_tx
-        .send(event_line(vec![
-            ("event".into(), Value::str("accepted")),
-            ("job".into(), Value::UInt(id)),
-            (
-                "trials".into(),
-                Value::UInt(job.remaining.load(Ordering::SeqCst) as u64),
-            ),
-        ]))
-        .map_err(|_| "connection closed".to_string())?;
+    // Queued before the subscription exists, so `accepted` precedes
+    // every round this connection receives for the job.
+    outgoing.send(event_line(vec![
+        ("event".into(), Value::str("accepted")),
+        ("job".into(), Value::UInt(id)),
+        (
+            "trials".into(),
+            Value::UInt(job.remaining.load(Ordering::SeqCst) as u64),
+        ),
+    ]))?;
     subscribe(&job, outgoing, true);
     Ok(())
 }
 
 /// Returns `false` when the connection should stop serving (shutdown).
-fn handle_request(shared: &Shared, outgoing: &Arc<Outgoing>, line: &str) -> bool {
+fn handle_request(shared: &Shared, outgoing: &Outgoing, line: &str) -> bool {
     let parsed = match Value::parse(line) {
         Ok(v) => v,
         Err(e) => {
-            let _ = outgoing.control_tx.send(error_line(&e.to_string()));
+            let _ = outgoing.send(error_line(&e.to_string()));
             return true;
         }
     };
     let op = parsed.get("op").and_then(Value::as_str).unwrap_or("");
     let result = match op {
-        "ping" => outgoing
-            .control_tx
-            .send(event_line(vec![("event".into(), Value::str("pong"))]))
-            .map_err(|_| "connection closed".to_string()),
+        "ping" => outgoing.send(event_line(vec![("event".into(), Value::str("pong"))])),
         "submit" => handle_submit(shared, outgoing, &parsed),
         "attach" => handle_attach(shared, outgoing, &parsed),
         "shutdown" => {
@@ -579,7 +590,7 @@ fn handle_request(shared: &Shared, outgoing: &Arc<Outgoing>, line: &str) -> bool
         other => Err(format!("unknown op '{other}'")),
     };
     if let Err(message) = result {
-        let _ = outgoing.control_tx.send(error_line(&message));
+        let _ = outgoing.send(error_line(&message));
     }
     true
 }
@@ -593,15 +604,14 @@ fn handle_connection(shared: &Shared, stream: TcpStream) {
         conns.retain(|c| c.peer_addr().is_ok());
         conns.push(shutdown_handle);
     }
-    let (control_tx, control_rx) = std::sync::mpsc::channel();
-    let outgoing = Arc::new(Outgoing {
-        control_tx,
-        round_rxs: Mutex::new(Vec::new()),
+    let (tx, rx) = std::sync::mpsc::channel();
+    let outgoing = Outgoing {
+        tx,
         closing: AtomicBool::new(false),
-    });
-    let writer_outgoing = Arc::clone(&outgoing);
+    };
     thread::scope(|scope| {
-        scope.spawn(move || writer_loop(shared, &writer_outgoing, &control_rx, write_half));
+        let writer_outgoing = &outgoing;
+        scope.spawn(move || writer_loop(shared, writer_outgoing, &rx, write_half));
         let mut reader = BufReader::new(stream);
         let mut line = Vec::new();
         loop {
@@ -612,7 +622,7 @@ fn handle_connection(shared: &Shared, stream: TcpStream) {
             {
                 Ok(0) | Err(_) => break,
                 Ok(len) if len as u64 > MAX_REQUEST_BYTES => {
-                    let _ = outgoing.control_tx.send(error_line(&format!(
+                    let _ = outgoing.send(error_line(&format!(
                         "request line exceeds {MAX_REQUEST_BYTES} bytes; closing the connection"
                     )));
                     outgoing.closing.store(true, Ordering::SeqCst);

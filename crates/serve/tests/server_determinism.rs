@@ -72,6 +72,47 @@ fn concurrent_clients_get_byte_identical_reports() {
 }
 
 #[test]
+fn accepted_precedes_every_round_of_its_job() {
+    // One worker and a job of a few milliseconds: its first rounds are
+    // emitted while its `accepted` may still be queued, so an ordering
+    // bug shows within a few of these submits.
+    let server = Server::bind("127.0.0.1:0", 1).expect("bind");
+    let addr = server.local_addr().expect("addr");
+    let server_thread = thread::spawn(move || server.run().expect("server run"));
+    let mut client = Client::connect(addr).expect("connect");
+    let spec = test_spec();
+    let mut rounds = 0u64;
+    for seed in 1..=60u64 {
+        client.submit(&spec, &[seed], true).expect("submit");
+        let mut job = None;
+        loop {
+            let event = client.next_event().expect("read").expect("event");
+            let event_job = event.body.get("job").and_then(Value::as_u64);
+            match event.kind.as_str() {
+                "accepted" => job = event_job,
+                "round" => {
+                    assert!(
+                        job.is_some() && event_job == job,
+                        "submit {seed}: round of job {event_job:?} before its accepted"
+                    );
+                    rounds += 1;
+                }
+                "report" => assert_eq!(event_job, job, "submit {seed}: stray report"),
+                "done" => {
+                    assert_eq!(event_job, job, "submit {seed}: stray done");
+                    break;
+                }
+                other => panic!("submit {seed}: unexpected `{other}` event"),
+            }
+        }
+    }
+    assert!(rounds > 0, "no round events streamed at all");
+
+    request_shutdown(addr).expect("shutdown");
+    server_thread.join().expect("server thread");
+}
+
+#[test]
 fn attached_subscriber_sees_the_same_reports() {
     let server = Server::bind("127.0.0.1:0", 1).expect("bind");
     let addr = server.local_addr().expect("addr");
