@@ -27,7 +27,7 @@
 use sinr_core::sim::{AdversarySpec, ProtocolSpec, Scenario, TopologySpec};
 use sinr_core::NuEstimator;
 use sinr_netgen::uniform;
-use sinr_phy::{GraphScratch, Network, SinrParams};
+use sinr_phy::{GraphScratch, InterferenceMode, Network, SinrParams};
 use sinr_runtime::{
     BlackoutAdversary, FaultDelta, FaultPlan, FaultPlanSet, FaultView, JamAdversary,
 };
@@ -154,7 +154,7 @@ pub fn curve_table() -> Table {
                 density: 40.0,
             })
             .protocol(protocol)
-            .fast_physics()
+            .interference_mode(InterferenceMode::grid_native())
             .adversary(AdversarySpec::cut_vertex_kill(fraction, 1, 8))
             .budget(1_500)
             .build()
@@ -217,7 +217,7 @@ mod tests {
                 density: 40.0,
             })
             .protocol(protocol)
-            .fast_physics()
+            .interference_mode(InterferenceMode::grid_native())
             .adversary(AdversarySpec::cut_vertex_kill(0.25, 1, 8))
             .budget(1_500)
             .build()

@@ -7,11 +7,11 @@
 //! perf trajectory and the interactive bench measure the same cases.
 //! Every row is an `oracle/...` row of the reusable zero-allocation
 //! oracle; `oracle/grid_native_r4_t<k>/...` rows shard the accumulate
-//! stage across `k` physics threads ([`KernelPool`]).
+//! stage across `k` physics threads ([`ReceptionOracle::set_threads`]).
 
 use sinr_geometry::GridIndex;
 use sinr_netgen::uniform;
-use sinr_phy::{InterferenceMode, KernelPool, ReceptionOracle, RoundOutcome, SinrParams};
+use sinr_phy::{InterferenceMode, ReceptionOracle, RoundOutcome, SinrParams};
 
 use crate::microbench::{black_box, Session};
 
@@ -67,15 +67,14 @@ pub fn run(session: &mut Session) {
         let mut oracle = ReceptionOracle::for_stations(n);
         let mut out = RoundOutcome::empty();
         for threads in [1usize, 2, 8] {
-            let mut pool = KernelPool::new(threads);
+            oracle.set_threads(threads);
             session.bench(&format!("oracle/grid_native_r4_t{threads}/{n}"), n, || {
-                oracle.resolve_into_with(
+                oracle.resolve_into(
                     &pts,
                     &params,
                     &tx,
                     InterferenceMode::grid_native(),
                     Some(&grid),
-                    &mut pool,
                     &mut out,
                 );
                 black_box(&out);

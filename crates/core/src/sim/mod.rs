@@ -235,7 +235,3 @@ pub use wire::{decode_run_report, encode_run_report, ScenarioSpec, WireError};
 pub use sinr_geometry::RepairPolicy;
 pub use sinr_netgen::churn::ChurnModel;
 pub use sinr_netgen::mobility::MobilityModel;
-
-// The cross-trial buffers a long-running host (the `sinr-serve` worker
-// pool) recycles through `Simulation::run_reusing`.
-pub use sinr_runtime::EngineArena;

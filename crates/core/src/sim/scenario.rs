@@ -8,7 +8,7 @@ use sinr_geometry::{MetricPoint, Point2, RepairPolicy};
 use sinr_netgen::churn::ChurnProcess;
 use sinr_netgen::mobility::Mobility;
 use sinr_phy::{InterferenceMode, Network, NetworkError, SinrParams};
-use sinr_runtime::{derive_seed, node_rng, Engine, EngineArena, Protocol};
+use sinr_runtime::{derive_seed, node_rng, Engine, Protocol};
 
 use crate::baselines::{DaumBroadcastNode, FloodNode, LocalBroadcastNode};
 use crate::broadcast::{NoSBroadcastNode, SBroadcastNode};
@@ -168,16 +168,6 @@ impl<P: MetricPoint> Scenario<P> {
         self
     }
 
-    /// Switches to the grid-native fast physics
-    /// ([`InterferenceMode::grid_native`]): exact decode decisions with a
-    /// per-cell approximate interference tail — the recommended fidelity
-    /// for large sweeps (see the `sinr-phy` crate docs for measured
-    /// cost/accuracy numbers). The default remains exact physics.
-    #[must_use]
-    pub fn fast_physics(self) -> Self {
-        self.interference_mode(InterferenceMode::grid_native())
-    }
-
     /// Shards each round's physics accumulate stage across up to `n`
     /// scoped worker threads (default 1; `0` is clamped to 1).
     ///
@@ -192,9 +182,11 @@ impl<P: MetricPoint> Scenario<P> {
     /// [`Simulation::sweep_with_threads`], the value is taken as given —
     /// asking for more physics threads than the machine has cores
     /// oversubscribes by exactly that choice (the results still do not
-    /// change). Prefer sweep parallelism for many small trials and
-    /// physics threads for few large ones (≳10⁴ stations in grid-native
-    /// mode).
+    /// change). Prefer sweep parallelism for many trials and physics
+    /// threads for few trials with dense rounds: at two threads, whole
+    /// grid-native runs were 1.17–1.59× faster on the `flood-dense-30k`
+    /// shape (~870 transmitters per round) and 0.87–1.17× (median 0.97×)
+    /// on the sparse `sbcast-static-10k` shape.
     #[must_use]
     pub fn physics_threads(mut self, n: usize) -> Self {
         self.physics_threads = n.max(1);
@@ -484,27 +476,10 @@ impl<P: MetricPoint> Simulation<P> {
     /// Topology, network or spec mismatches; never panics on well-formed
     /// scenarios.
     pub fn run(&self, seed: u64) -> Result<RunReport, SimError> {
-        self.run_reusing(seed, &mut EngineArena::new())
-    }
-
-    /// As [`Simulation::run`], recycling the engine's reusable buffers
-    /// (reception oracle, kernel pool, round outcome, graph scratch)
-    /// through `arena` — the per-trial entry point of long-running hosts
-    /// such as the `sinr-serve` worker pool, where one warm arena per
-    /// worker amortizes allocation and keeps physics threads alive
-    /// across jobs. The report is byte-identical to [`Simulation::run`]:
-    /// arena contents are overwritten before every read, so reuse cannot
-    /// leak state between trials (the server determinism test pins
-    /// this).
-    ///
-    /// # Errors
-    ///
-    /// As [`Simulation::run`].
-    pub fn run_reusing(&self, seed: u64, arena: &mut EngineArena) -> Result<RunReport, SimError> {
         let points = self.materialize(seed)?;
         let net =
             Network::new(points, self.scenario.params)?.with_interference_mode(self.scenario.mode);
-        execute(&self.scenario, net, seed, arena)
+        execute(&self.scenario, net, seed)
     }
 
     /// Runs every seed, in parallel across the machine's cores. Results
@@ -542,11 +517,8 @@ impl<P: MetricPoint> Simulation<P> {
         slots.resize_with(seeds.len(), || None);
         let workers = threads.clamp(1, seeds.len().max(1));
         if workers <= 1 {
-            // One arena across the whole serial sweep: the same
-            // buffer-recycling the parallel workers get per thread.
-            let mut arena = EngineArena::new();
             for (i, &seed) in seeds.iter().enumerate() {
-                slots[i] = Some(self.run_reusing(seed, &mut arena));
+                slots[i] = Some(self.run(seed));
             }
         } else {
             let next = AtomicUsize::new(0);
@@ -555,22 +527,13 @@ impl<P: MetricPoint> Simulation<P> {
                 for _ in 0..workers {
                     let tx = tx.clone();
                     let next = &next;
-                    scope.spawn(move || {
-                        // Per-worker arena, reused across every seed
-                        // this worker claims (never shared, so the
-                        // determinism contract is untouched).
-                        let mut arena = EngineArena::new();
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            if i >= seeds.len() {
-                                break;
-                            }
-                            if tx
-                                .send((i, self.run_reusing(seeds[i], &mut arena)))
-                                .is_err()
-                            {
-                                break;
-                            }
+                    scope.spawn(move || loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= seeds.len() {
+                            break;
+                        }
+                        if tx.send((i, self.run(seeds[i]))).is_err() {
+                            break;
                         }
                     });
                 }
@@ -621,9 +584,8 @@ fn setup_engine<P: MetricPoint, Pr: Protocol + 'static>(
     seed: u64,
     make: impl FnMut(usize) -> Pr,
     spawn: Option<Spawn<Pr>>,
-    arena: &mut EngineArena,
 ) -> Engine<P, Pr> {
-    let mut eng = Engine::new_reusing(net, seed, make, arena);
+    let mut eng = Engine::new(net, seed, make);
     eng.set_physics_threads(scenario.physics_threads);
     eng.set_repair_policy(scenario.repair);
     if scenario.record {
@@ -703,23 +665,26 @@ fn live_count<P: MetricPoint, Pr: Protocol>(
         .count()
 }
 
-/// Drives an engine until all live nodes satisfy `done` or `budget`
-/// rounds elapse (predicate checked *before* each round, exactly like
-/// [`Engine::run_until`]).
+/// Drives an engine for up to `budget` rounds. With `until_done` the run
+/// stops as soon as every live node satisfies `done` (checked *before*
+/// each round, exactly like [`Engine::run_until`]); without it — the
+/// fixed global schedules: coloring, consensus, leader election — all
+/// `budget` rounds run and `done` only counts informed stations for the
+/// observers.
 #[allow(clippy::too_many_arguments)]
 fn drive<P: MetricPoint, Pr: Protocol + 'static>(
     scenario: &Scenario<P>,
     net: Network<P>,
     seed: u64,
     budget: u64,
+    until_done: bool,
     make: impl FnMut(usize) -> Pr,
     done: impl Fn(&Pr) -> bool,
     spawn: Option<Spawn<Pr>>,
     observers: &mut [Box<dyn Observer>],
-    arena: &mut EngineArena,
 ) -> Driven<Pr> {
     let n = net.len();
-    let mut eng = setup_engine(scenario, net, seed, make, spawn, arena);
+    let mut eng = setup_engine(scenario, net, seed, make, spawn);
     for o in observers.iter_mut() {
         o.begin(n);
     }
@@ -727,11 +692,12 @@ fn drive<P: MetricPoint, Pr: Protocol + 'static>(
     let mut coverage: Vec<CoveragePoint> = Vec::new();
     let mut executed = 0u64;
     let completed = loop {
-        if live_all(&eng, &done) {
+        if until_done && live_all(&eng, &done) {
             break true;
         }
         if executed >= budget {
-            break false;
+            // A fixed schedule completes by running all its rounds.
+            break !until_done;
         }
         let stats = eng.step();
         executed += 1;
@@ -767,63 +733,16 @@ fn drive<P: MetricPoint, Pr: Protocol + 'static>(
             coverage,
         }
     });
-    let mut d = finish(eng, executed, completed, arena);
-    d.faults = faults;
-    d
-}
-
-/// Drives an engine for exactly `rounds` rounds (fixed global schedules:
-/// coloring, consensus, leader election — none of which support churn,
-/// so no spawn factory is taken).
-#[allow(clippy::too_many_arguments)]
-fn drive_exact<P: MetricPoint, Pr: Protocol + 'static>(
-    scenario: &Scenario<P>,
-    net: Network<P>,
-    seed: u64,
-    rounds: u64,
-    make: impl FnMut(usize) -> Pr,
-    done: impl Fn(&Pr) -> bool,
-    observers: &mut [Box<dyn Observer>],
-    arena: &mut EngineArena,
-) -> Driven<Pr> {
-    let n = net.len();
-    let mut eng = setup_engine(scenario, net, seed, make, None, arena);
-    for o in observers.iter_mut() {
-        o.begin(n);
-    }
-    for _ in 0..rounds {
-        let stats = eng.step();
-        if !observers.is_empty() {
-            let informed = live_count(&eng, &done);
-            for o in observers.iter_mut() {
-                o.on_round(&stats, informed);
-            }
-        }
-    }
-    finish(eng, rounds, true, arena)
-}
-
-/// Collects the drive result and hands the engine's reusable buffers
-/// back to `arena` for the next trial.
-fn finish<P: MetricPoint, Pr: Protocol>(
-    eng: Engine<P, Pr>,
-    rounds: u64,
-    completed: bool,
-    arena: &mut EngineArena,
-) -> Driven<Pr> {
-    let total_transmissions = eng.trace().total_transmissions();
     let per_round = eng.trace().per_round().map(<[_]>::to_vec);
-    let tx_counts = per_round.is_some().then(|| eng.tx_counts().to_vec());
-    let alive = eng.network().alive().to_vec();
     Driven {
-        rounds,
+        rounds: executed,
         completed,
-        nodes: eng.recycle_into(arena),
-        alive,
-        total_transmissions,
+        total_transmissions: eng.trace().total_transmissions(),
+        tx_counts: per_round.is_some().then(|| eng.tx_counts().to_vec()),
         per_round,
-        tx_counts,
-        faults: None,
+        alive: eng.network().alive().to_vec(),
+        nodes: eng.into_nodes(),
+        faults,
     }
 }
 
@@ -839,7 +758,6 @@ fn broadcast_arm<P: MetricPoint, Pr: Protocol + 'static>(
     seed: u64,
     budget: u64,
     observers: &mut [Box<dyn Observer>],
-    arena: &mut EngineArena,
     make: impl FnMut(usize) -> Pr + Clone + 'static,
     done: impl Fn(&Pr) -> bool,
 ) -> (Driven<()>, usize, Outcome) {
@@ -848,7 +766,7 @@ fn broadcast_arm<P: MetricPoint, Pr: Protocol + 'static>(
         .as_ref()
         .map(|_| Box::new(make.clone()) as Spawn<Pr>);
     let d = drive(
-        scenario, net, seed, budget, make, &done, spawn, observers, arena,
+        scenario, net, seed, budget, true, make, &done, spawn, observers,
     );
     let informed = d
         .nodes
@@ -875,7 +793,6 @@ fn execute<P: MetricPoint>(
     scenario: &Scenario<P>,
     net: Network<P>,
     seed: u64,
-    arena: &mut EngineArena,
 ) -> Result<RunReport, SimError> {
     let spec = scenario
         .protocol
@@ -899,7 +816,6 @@ fn execute<P: MetricPoint>(
                 seed,
                 budget,
                 &mut observers,
-                arena,
                 move |id| NoSBroadcastNode::new(id, source, 1, n, consts),
                 NoSBroadcastNode::informed,
             )
@@ -915,7 +831,6 @@ fn execute<P: MetricPoint>(
                 seed,
                 budget,
                 &mut observers,
-                arena,
                 move |id| NoSBroadcastNode::new(id, source, 1, nu, consts),
                 NoSBroadcastNode::informed,
             )
@@ -928,7 +843,6 @@ fn execute<P: MetricPoint>(
                 seed,
                 budget,
                 &mut observers,
-                arena,
                 move |id| SBroadcastNode::new(id, source, 1, n, consts),
                 SBroadcastNode::informed,
             )
@@ -944,7 +858,6 @@ fn execute<P: MetricPoint>(
                 seed,
                 budget,
                 &mut observers,
-                arena,
                 move |id| SBroadcastNode::new(id, source, 1, nu, consts),
                 SBroadcastNode::informed,
             )
@@ -952,15 +865,16 @@ fn execute<P: MetricPoint>(
         ProtocolSpec::Coloring => {
             let full = crate::coloring::ColoringMachine::total_rounds(n, &consts);
             let total = full.min(budget);
-            let d = drive_exact(
+            let d = drive(
                 scenario,
                 net,
                 seed,
                 total,
+                false,
                 |_| StabilizeProtocol::new(n, consts),
                 |p| p.machine().is_finished(),
+                None,
                 &mut observers,
-                arena,
             );
             // A budget below the Fact 7 schedule truncates the run:
             // unfinished stations report color 0.0 (uncolored) and the
@@ -994,7 +908,6 @@ fn execute<P: MetricPoint>(
                 seed,
                 budget,
                 &mut observers,
-                arena,
                 move |id| DaumBroadcastNode::new(id, source, 1, n, rs, alpha),
                 DaumBroadcastNode::informed,
             )
@@ -1007,7 +920,6 @@ fn execute<P: MetricPoint>(
                 seed,
                 budget,
                 &mut observers,
-                arena,
                 move |id| FloodNode::new(id, source, 1, p),
                 FloodNode::informed,
             )
@@ -1020,7 +932,6 @@ fn execute<P: MetricPoint>(
                 seed,
                 budget,
                 &mut observers,
-                arena,
                 move |id| LocalBroadcastNode::new(id, source, 1, n, 0.5),
                 LocalBroadcastNode::informed,
             )
@@ -1037,7 +948,6 @@ fn execute<P: MetricPoint>(
                 seed,
                 budget,
                 &mut observers,
-                arena,
                 move |id| crate::baselines::ReFloodNode::new(id, source, 1, p, burst_rounds),
                 crate::baselines::ReFloodNode::informed,
             )
@@ -1054,7 +964,6 @@ fn execute<P: MetricPoint>(
                 seed,
                 budget,
                 &mut observers,
-                arena,
                 move |id| {
                     crate::estimate::EstimatingReFloodNode::new(id, source, 1, nu0, burst_rounds)
                 },
@@ -1069,7 +978,6 @@ fn execute<P: MetricPoint>(
                 seed,
                 budget,
                 &mut observers,
-                arena,
                 move |id| crate::estimate::EstimatingNoSNode::new(id, source, 1, nu0, consts),
                 crate::estimate::EstimatingNoSNode::informed,
             )
@@ -1082,7 +990,6 @@ fn execute<P: MetricPoint>(
                 seed,
                 budget,
                 &mut observers,
-                arena,
                 move |id| crate::estimate::EstimatingSNode::new(id, source, 1, nu0, consts),
                 crate::estimate::EstimatingSNode::informed,
             )
@@ -1114,11 +1021,11 @@ fn execute<P: MetricPoint>(
                 net,
                 seed,
                 budget,
+                true,
                 |id| AdhocWakeupNode::new(id, &schedule, n, consts),
                 AdhocWakeupNode::awake,
                 None,
                 &mut observers,
-                arena,
             );
             let awake = d.nodes.iter().filter(|p| p.awake()).count();
             let rounds_from_first_wake = d.rounds.saturating_sub(first_wake);
@@ -1153,7 +1060,6 @@ fn execute<P: MetricPoint>(
                 seed,
                 budget,
                 &mut observers,
-                arena,
                 move |id| {
                     EstablishedWakeupNode::new(coloring.colors[id], initiators[id], n, consts)
                 },
@@ -1173,15 +1079,16 @@ fn execute<P: MetricPoint>(
             }
             let window = consts.wakeup_window(n, d_bound);
             let total = (consts.coloring_rounds(n) + u64::from(bits) * window).min(budget);
-            let d = drive_exact(
+            let d = drive(
                 scenario,
                 net,
                 seed,
                 total,
+                false,
                 |id| ConsensusNode::new(values[id], bits, n, consts, window),
                 |p| p.decided().is_some(),
+                None,
                 &mut observers,
-                arena,
             );
             let decided: Vec<Option<u64>> = d.nodes.iter().map(ConsensusNode::decided).collect();
             let informed = decided.iter().filter(|v| v.is_some()).count();
@@ -1205,11 +1112,12 @@ fn execute<P: MetricPoint>(
             let bits = LeaderNode::id_bits(n);
             let window = consts.wakeup_window(n, d_bound);
             let total = (consts.coloring_rounds(n) + u64::from(bits) * window).min(budget);
-            let d = drive_exact(
+            let d = drive(
                 scenario,
                 net,
                 seed,
                 total,
+                false,
                 |id| {
                     // Stream 1 draws IDs; stream 0 drives the protocol
                     // inside the engine.
@@ -1219,8 +1127,8 @@ fn execute<P: MetricPoint>(
                     LeaderNode::new(id_value, n, consts, window)
                 },
                 |p| p.is_leader().is_some(),
+                None,
                 &mut observers,
-                arena,
             );
             let leaders: Vec<usize> = d
                 .nodes
@@ -1262,6 +1170,7 @@ fn execute<P: MetricPoint>(
                 net,
                 seed,
                 budget,
+                true,
                 |id| {
                     crate::alert::AlertNode::new(
                         coloring.colors[id],
@@ -1274,7 +1183,6 @@ fn execute<P: MetricPoint>(
                 crate::alert::AlertNode::alarmed,
                 None,
                 &mut observers,
-                arena,
             );
             let learned_at: Vec<Option<u64>> = d.nodes.iter().map(|nd| nd.learned_at()).collect();
             let alarmed = learned_at.iter().filter(|v| v.is_some()).count();

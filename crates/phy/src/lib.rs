@@ -13,10 +13,9 @@
 //!   pipeline with **zero steady-state allocations**; every round loop in
 //!   the workspace (engine, runners, sweeps) builds it once per trial and
 //!   reuses it across thousands of rounds;
-//! * [`KernelPool`] / [`Network::resolve_with_pool`] — per-trial worker
-//!   state sharding the accumulate stage across scoped threads with
-//!   bitwise-identical results at any thread count (see *Threads and
-//!   batching* below);
+//! * [`ReceptionOracle::set_threads`] — shards the accumulate stage
+//!   across scoped threads with bitwise-identical results at any thread
+//!   count (see *Threads and batching* below);
 //! * [`CommGraph`] — the communication graph over edges of length ≤ 1 − ε,
 //!   with BFS, diameter, connectivity and granularity `R_s`. Stored as
 //!   flat CSR so dynamic topologies refresh it **in place** per epoch
@@ -66,12 +65,12 @@
 //! `Exact` is the ground truth and the default everywhere;
 //! [`InterferenceMode::grid_native`] is the mode for large sweeps (exact
 //! decode decisions whenever the SINR margin exceeds its tail
-//! perturbation; the a3 ablation sweeps its `near_radius`), and
-//! `Scenario::fast_physics()` selects it. Two earlier approximations were
-//! deleted because neither paid: a truncated tail (5× slower than
-//! grid-native at n = 10⁴, and biased toward exactly the receptions
-//! Theorems 1–2 count) and a per-receiver cell aggregate (slower than
-//! `Exact` at n = 4 096).
+//! perturbation; the a3 ablation sweeps its `near_radius`), selected with
+//! `Scenario::interference_mode(InterferenceMode::grid_native())`. Two
+//! earlier approximations were deleted because neither paid: a truncated
+//! tail (5× slower than grid-native at n = 10⁴, and biased toward exactly
+//! the receptions Theorems 1–2 count) and a per-receiver cell aggregate
+//! (slower than `Exact` at n = 4 096).
 //!
 //! Determinism: both modes are a pure function of `(points, params, T)`;
 //! grid-native iterates transmitter cells in sorted key order.
@@ -91,26 +90,35 @@
 //!   single-thread effect on the grid-native kernel (this machine):
 //!   2.61 ms → 1.72 ms at n = 10⁴ and 73.6 ms → 49.3 ms at n = 10⁵
 //!   (min wall-clock per round, ~1.5×).
-//! * **Thread sharding.** A [`KernelPool`] shards the accumulate stage
-//!   across scoped worker threads: grid-native by contiguous
-//!   receiver-cell ranges (each shard owns a contiguous slot range, with
-//!   per-shard scratch), exact by contiguous station ranges. Because
-//!   every per-receiver sum keeps its serial accumulation order and
-//!   shard writes are disjoint slices,
-//!   **results are bitwise identical at any thread count** — pinned at
-//!   the oracle level (`oracle::tests`), the engine level and the full
-//!   `RunReport` level (`tests/mode_determinism.rs`).
+//! * **Thread sharding.** [`ReceptionOracle::set_threads`] shards the
+//!   accumulate stage across scoped worker threads: grid-native by
+//!   contiguous receiver-cell ranges (each shard owns a contiguous slot
+//!   range, with per-shard scratch), exact by contiguous station ranges.
+//!   Because every per-receiver sum keeps its serial accumulation order
+//!   and shard writes are disjoint slices, **results are bitwise
+//!   identical at any thread count** — pinned at the oracle level
+//!   (`oracle::tests`), the engine level and the full `RunReport` level
+//!   (`tests/mode_determinism.rs`).
 //!
-//! Wire-up: `Engine` owns one pool per trial
-//! (`Engine::set_physics_threads`), `Scenario::physics_threads(n)`
-//! configures it from the builder, and `Simulation::sweep` divides the
+//! Wire-up: the oracle an `Engine` builds per trial holds the thread
+//! count (`Engine::set_physics_threads`), `Scenario::physics_threads(n)`
+//! sets it from the builder, and `Simulation::sweep` divides the
 //! machine's thread budget (resolved once per `Simulation`) by the
 //! physics thread count, so the auto-sized composition of the two axes
-//! stays within the budget. The per-round cost of sharding is one scoped-thread
-//! spawn per shard, so physics threads pay off for *few large trials*
-//! (≳10⁴ stations, grid-native) while sweep workers remain the right
-//! axis for *many small trials*. `BENCH.json` tracks
-//! `oracle/grid_native_r4_t{1,2,8}` rows at n = 10⁴/10⁵ so thread
+//! stays within the budget. Each round spawns one scoped thread per
+//! shard beyond the first. Whole `Simulation::run` wall time at two
+//! threads against one, grid-native, 8 pairs per shape on a 2-vCPU
+//! Xeon VM (same process, same seed per pair, alternating which side
+//! runs first):
+//!
+//! | shape | transmitters per round | one-thread time ÷ two-thread time |
+//! |---|---:|---|
+//! | `flood-dense-30k`: flood p = 0.05, n = 3·10⁴ | ~870 | 1.17–1.59×, median 1.54× |
+//! | `sbcast-static-10k`: `SBroadcast`, n = 10⁴ | < 20 | 0.87–1.17×, median 0.97× |
+//!
+//! So physics threads pay off for *few trials with dense rounds*, while
+//! sweep workers remain the right axis for *many trials*. `BENCH.json`
+//! tracks `oracle/grid_native_r4_t{1,2,8}` rows at n = 10⁴/10⁵ so thread
 //! scaling is measured on the machine that regenerates it (the committed
 //! file was produced on a single-core container, where t8/t1 ≈ 1.0 by
 //! construction — regenerate on real hardware for meaningful scaling).
@@ -140,7 +148,7 @@ pub mod facts;
 pub mod network;
 pub mod oracle;
 pub mod params;
-pub mod pool;
+mod pool;
 pub mod reception;
 
 pub use bounds::ParamBounds;
@@ -148,7 +156,6 @@ pub use commgraph::{CommGraph, GraphScratch, UNREACHABLE};
 pub use network::{ChurnDelta, Network, NetworkError};
 pub use oracle::ReceptionOracle;
 pub use params::{ParamError, SinrParams, SinrParamsBuilder};
-pub use pool::KernelPool;
 pub use reception::{
     interference_at, resolve_round, total_signal_at, InterferenceMode, RoundOutcome,
 };

@@ -6,7 +6,6 @@ use sinr_geometry::{GridIndex, MetricPoint, RepairPolicy};
 use crate::commgraph::CommGraph;
 use crate::oracle::ReceptionOracle;
 use crate::params::{ParamError, SinrParams};
-use crate::pool::KernelPool;
 use crate::reception::{resolve_round, InterferenceMode, RoundOutcome};
 
 /// A wireless network instance: positions + model parameters.
@@ -516,29 +515,6 @@ impl<P: MetricPoint> Network<P> {
             transmitters,
             self.mode,
             Some(&self.grid),
-            out,
-        );
-        self.mask_dead(out);
-    }
-
-    /// As [`Network::resolve_with`], sharding the accumulate stage of the
-    /// round across `pool`'s worker threads. Results are bitwise
-    /// identical to the serial path at any thread count (the pool's
-    /// determinism contract).
-    pub fn resolve_with_pool(
-        &self,
-        oracle: &mut ReceptionOracle,
-        pool: &mut KernelPool,
-        transmitters: &[usize],
-        out: &mut RoundOutcome,
-    ) {
-        oracle.resolve_into_with(
-            &self.points,
-            &self.params,
-            transmitters,
-            self.mode,
-            Some(&self.grid),
-            pool,
             out,
         );
         self.mask_dead(out);

@@ -15,14 +15,15 @@
 //!    set, and (for the grid-native mode) sort the transmitters into
 //!    flat cell buckets with SoA coordinates and per-cell centroids;
 //! 2. **accumulate** — fill, per station, the total received power and
-//!    the strongest transmitter. This is the stage that shards: given a
-//!    [`KernelPool`] with more than one thread, the grid-native kernel
-//!    splits the *receiver cells* into contiguous ranges (each owning a
-//!    contiguous slot range of the grid's CSR layout, accumulated into
-//!    slot-ordered buffers so shard writes are disjoint slices), and the
-//!    exact kernel splits the station range. Per-receiver floating-point
-//!    sums accumulate in the same order as the serial kernels, so results
-//!    are **bitwise identical at any thread count**.
+//!    the strongest transmitter. This is the stage that shards: with
+//!    more than one thread ([`ReceptionOracle::set_threads`]), the
+//!    grid-native kernel splits the *receiver cells* into contiguous
+//!    ranges (each owning a contiguous slot range of the grid's CSR
+//!    layout, accumulated into slot-ordered buffers so shard writes are
+//!    disjoint slices), and the exact kernel splits the station range.
+//!    Per-receiver floating-point sums accumulate in the same order as
+//!    the serial kernels, so results are **bitwise identical at any
+//!    thread count**.
 //! 3. **decide** — apply the SINR threshold test per station and emit
 //!    [`RoundOutcome`].
 //!
@@ -50,10 +51,9 @@ const CHUNK: usize = 64;
 ///
 /// Build one per trial ([`crate::Network::new_oracle`] sizes it for the
 /// network) and feed it every round; buffers grow to the high-water mark
-/// on the first round and are reused afterwards. Rounds resolve serially
-/// through [`ReceptionOracle::resolve_into`], or sharded across scoped
-/// threads through [`ReceptionOracle::resolve_into_with`] and a
-/// [`KernelPool`] — with bitwise identical results.
+/// on the first round and are reused afterwards. Rounds resolve on the
+/// calling thread, or sharded across scoped threads after
+/// [`ReceptionOracle::set_threads`] — with bitwise identical results.
 ///
 /// # Example
 ///
@@ -98,8 +98,9 @@ pub struct ReceptionOracle {
     slot_total: Vec<f64>,
     slot_best_pow: Vec<f64>,
     slot_best_idx: Vec<usize>,
-    /// Single-shard pool backing the serial entry points.
-    fallback: KernelPool,
+    /// Thread cap, per-shard scratch and shard plan of the accumulate
+    /// stage.
+    pool: KernelPool,
 }
 
 impl ReceptionOracle {
@@ -128,6 +129,24 @@ impl ReceptionOracle {
         self.is_tx.fill(false);
     }
 
+    /// Shards the accumulate stage of later rounds across up to `threads`
+    /// scoped threads (default 1, i.e. inline; `0` is clamped to 1).
+    ///
+    /// Results are **bitwise identical at any thread count** (see the
+    /// module docs for the sharding contract), so this only trades
+    /// wall-clock for cores. Shard scratch is reallocated only when the
+    /// count changes.
+    pub fn set_threads(&mut self, threads: usize) {
+        if threads.max(1) != self.pool.threads() {
+            self.pool = KernelPool::new(threads);
+        }
+    }
+
+    /// The thread cap of the accumulate stage.
+    pub fn threads(&self) -> usize {
+        self.pool.threads()
+    }
+
     /// Total received power per station from the last resolved round
     /// (diagnostics; indexed by station).
     ///
@@ -137,8 +156,10 @@ impl ReceptionOracle {
         &self.total
     }
 
-    /// Resolves one round into `out` on the calling thread, reusing all
-    /// internal scratch and the capacity of `out.decoded_from`.
+    /// Resolves one round into `out`, reusing all internal scratch and the
+    /// capacity of `out.decoded_from`. The accumulate stage runs on the
+    /// calling thread unless [`ReceptionOracle::set_threads`] raised the
+    /// thread cap.
     ///
     /// Semantics are identical to
     /// [`resolve_round`](crate::reception::resolve_round) (which now
@@ -160,34 +181,8 @@ impl ReceptionOracle {
         grid: Option<&GridIndex>,
         out: &mut RoundOutcome,
     ) {
-        let mut pool = std::mem::replace(&mut self.fallback, KernelPool::placeholder());
-        self.resolve_into_with(points, params, transmitters, mode, grid, &mut pool, out);
-        self.fallback = pool;
-    }
-
-    /// As [`ReceptionOracle::resolve_into`], sharding the accumulate
-    /// stage across `pool`'s worker threads.
-    ///
-    /// Results are **bitwise identical** to the serial path at any thread
-    /// count (see the module docs for the sharding contract); a
-    /// [`KernelPool::serial`] pool runs inline and spawns nothing.
-    ///
-    /// # Panics
-    ///
-    /// As [`ReceptionOracle::resolve_into`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn resolve_into_with<P: MetricPoint>(
-        &mut self,
-        points: &[P],
-        params: &SinrParams,
-        transmitters: &[usize],
-        mode: InterferenceMode,
-        grid: Option<&GridIndex>,
-        pool: &mut KernelPool,
-        out: &mut RoundOutcome,
-    ) {
         self.plan(points, transmitters);
-        self.accumulate(points, params, transmitters, mode, grid, pool);
+        self.accumulate(points, params, transmitters, mode, grid);
         self.decide(params, transmitters.len(), out);
     }
 
@@ -228,13 +223,12 @@ impl ReceptionOracle {
         transmitters: &[usize],
         mode: InterferenceMode,
         grid: Option<&GridIndex>,
-        pool: &mut KernelPool,
     ) {
         if let Err(msg) = mode.validate() {
             panic!("{msg}");
         }
         match mode {
-            InterferenceMode::Exact => self.accumulate_exact(points, params, transmitters, pool),
+            InterferenceMode::Exact => self.accumulate_exact(points, params, transmitters),
             InterferenceMode::GridNative { near_radius } => {
                 let grid = grid.expect("GridNative interference mode requires a grid index");
                 debug_assert_eq!(
@@ -243,7 +237,7 @@ impl ReceptionOracle {
                     "grid must be built over the same point slice"
                 );
                 self.bucket_transmitters(points, transmitters, grid);
-                self.accumulate_grid_native::<P>(params, near_radius, grid, pool);
+                self.accumulate_grid_native::<P>(params, near_radius, grid);
                 self.scatter_slots(grid);
             }
         }
@@ -276,11 +270,10 @@ impl ReceptionOracle {
         points: &[P],
         params: &SinrParams,
         transmitters: &[usize],
-        pool: &mut KernelPool,
     ) {
         let n = points.len();
-        let shards = pool.plan_stations(n);
-        let (bounds, scratches) = pool.parts();
+        let shards = self.pool.plan_stations(n);
+        let (bounds, scratches) = self.pool.parts();
         run_sharded(
             shards,
             &|s| bounds[s + 1] - bounds[s],
@@ -356,7 +349,6 @@ impl ReceptionOracle {
         params: &SinrParams,
         near_radius: f64,
         grid: &GridIndex,
-        pool: &mut KernelPool,
     ) {
         // Number of *slots* — under a liveness mask (churned populations)
         // this is the live count: dead stations occupy no slot, receive
@@ -368,8 +360,8 @@ impl ReceptionOracle {
         self.slot_best_pow.resize(n, 0.0);
         self.slot_best_idx.resize(n, usize::MAX);
         let near_cells = (near_radius / grid.cell_side()).ceil() as i64;
-        let shards = pool.plan_cells(grid);
-        let (bounds, scratches) = pool.parts();
+        let shards = self.pool.plan_cells(grid);
+        let (bounds, scratches) = self.pool.parts();
         let tx_cells = &self.tx_cells;
         let bucket_starts = &self.bucket_starts;
         let bucket_centroids = &self.bucket_centroids;
@@ -643,42 +635,46 @@ mod tests {
     fn sharded_pools_are_bitwise_identical_to_serial() {
         // The tentpole determinism contract at the oracle level: any
         // thread count, every mode, identical decode decisions AND
-        // bit-identical power sums.
+        // bit-identical power sums — for fresh oracles and for one oracle
+        // whose thread count changes between rounds.
         let pts = spread(500);
         let grid = GridIndex::build(&pts, 1.0);
         let p = params();
-        let tx: Vec<usize> = (0..500).step_by(7).collect();
+        let same_power = |serial: &ReceptionOracle, other: &ReceptionOracle, what: &str| {
+            let (a, b) = (serial.received_power(), other.received_power());
+            assert_eq!(a.len(), b.len(), "{what}");
+            for (u, (a, b)) in a.iter().zip(b).enumerate() {
+                assert_eq!(a.to_bits(), b.to_bits(), "{what}: power differs at {u}");
+            }
+        };
         for mode in all_modes() {
             let mut serial_oracle = ReceptionOracle::new();
-            let serial = serial_oracle.resolve(&pts, &p, &tx, mode, Some(&grid));
-            for threads in [2, 3, 8, 64] {
-                let mut pool = KernelPool::new(threads);
-                let mut oracle = ReceptionOracle::new();
-                let mut out = RoundOutcome::empty();
-                oracle.resolve_into_with(&pts, &p, &tx, mode, Some(&grid), &mut pool, &mut out);
-                assert_eq!(serial, out, "{mode:?} with {threads} threads");
-                for (u, (a, b)) in serial_oracle
-                    .received_power()
-                    .iter()
-                    .zip(oracle.received_power())
-                    .enumerate()
-                {
-                    assert_eq!(
-                        a.to_bits(),
-                        b.to_bits(),
-                        "{mode:?}, {threads} threads: power differs at {u}"
-                    );
+            let mut resized = ReceptionOracle::new();
+            for (step, threads) in [7, 3, 11, 5].into_iter().zip([1, 8, 2, 1]) {
+                let tx: Vec<usize> = (0..500).step_by(step).collect();
+                let serial = serial_oracle.resolve(&pts, &p, &tx, mode, Some(&grid));
+                for fresh_threads in [2, 3, 8, 64] {
+                    let mut oracle = ReceptionOracle::new();
+                    oracle.set_threads(fresh_threads);
+                    let out = oracle.resolve(&pts, &p, &tx, mode, Some(&grid));
+                    let what = format!("{mode:?}, step {step}, fresh at {fresh_threads} threads");
+                    assert_eq!(serial, out, "{what}");
+                    same_power(&serial_oracle, &oracle, &what);
                 }
+                resized.set_threads(threads);
+                assert_eq!(resized.threads(), threads);
+                let out = resized.resolve(&pts, &p, &tx, mode, Some(&grid));
+                let what = format!("{mode:?}, step {step}, resized to {threads} threads");
+                assert_eq!(serial, out, "{what}");
+                same_power(&serial_oracle, &resized, &what);
             }
         }
     }
 
     #[test]
     fn oracle_recovers_after_panicking_resolve() {
-        // A contract panic unwinds while the fallback pool is swapped out
-        // for the scratch-less placeholder; later rounds must repair it
-        // (KernelPool::ensure_scratch) instead of failing on unrelated
-        // indexing.
+        // A contract panic unwinds out of the plan stage; later rounds
+        // must resolve exactly like a fresh oracle's.
         let pts = spread(50);
         let grid = GridIndex::build(&pts, 1.0);
         let p = params();

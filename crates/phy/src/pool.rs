@@ -1,12 +1,10 @@
-//! The per-trial worker pool of the sharded accumulate stage.
+//! The shard state of the accumulate stage.
 //!
-//! [`KernelPool`] holds everything the accumulate stage of the staged
-//! reception pipeline needs to run on more than one thread: the requested
-//! thread count, one reusable `ShardScratch` per worker, and the shard
-//! boundary buffer. Build one per trial (the [`Engine`] owns one and
-//! reuses it across rounds; `Scenario::physics_threads` sizes it) and
-//! hand it to [`ReceptionOracle::resolve_into_with`] every round — the
-//! only per-round threading cost is the scoped-thread spawn itself; all
+//! Every [`ReceptionOracle`] owns one [`KernelPool`]: the thread cap set
+//! through [`ReceptionOracle::set_threads`], one reusable `ShardScratch`
+//! per shard, and the shard boundary buffer. It holds no threads — each
+//! round the oracle spawns scoped threads for shards 1.. and runs shard 0
+//! inline, so the only per-round threading cost is that spawn; all
 //! scratch is steady-state allocation-free.
 //!
 //! Determinism contract: sharding **never** changes results. Shards own
@@ -16,8 +14,8 @@
 //! writes outside its range — so resolved rounds are bitwise identical
 //! at any thread count (pinned by `tests/mode_determinism.rs`).
 //!
-//! [`Engine`]: ../../sinr_runtime/struct.Engine.html
-//! [`ReceptionOracle::resolve_into_with`]: crate::ReceptionOracle::resolve_into_with
+//! [`ReceptionOracle`]: crate::ReceptionOracle
+//! [`ReceptionOracle::set_threads`]: crate::ReceptionOracle::set_threads
 
 use sinr_geometry::{GridIndex, PositionStore};
 
@@ -32,27 +30,9 @@ pub(crate) struct ShardScratch {
     pub near_t: Vec<usize>,
 }
 
-/// Worker-thread state for the sharded accumulate stage; one per trial.
-///
-/// # Example
-///
-/// ```
-/// use sinr_geometry::Point2;
-/// use sinr_phy::{KernelPool, Network, RoundOutcome, SinrParams};
-///
-/// let net = Network::new(
-///     vec![Point2::new(0.0, 0.0), Point2::new(0.5, 0.0)],
-///     SinrParams::default_plane(),
-/// )?;
-/// let mut oracle = net.new_oracle();
-/// let mut pool = KernelPool::new(4); // results identical to KernelPool::serial()
-/// let mut out = RoundOutcome::empty();
-/// net.resolve_with_pool(&mut oracle, &mut pool, &[0], &mut out);
-/// assert_eq!(out.decoded_from[1], Some(0));
-/// # Ok::<(), sinr_phy::NetworkError>(())
-/// ```
+/// The accumulate stage's thread cap, per-shard scratch and shard plan.
 #[derive(Debug, Clone)]
-pub struct KernelPool {
+pub(crate) struct KernelPool {
     threads: usize,
     shards: Vec<ShardScratch>,
     /// Shard boundaries of the current round: cell indices (grid-native)
@@ -62,14 +42,13 @@ pub struct KernelPool {
 
 impl Default for KernelPool {
     fn default() -> Self {
-        KernelPool::serial()
+        KernelPool::new(1)
     }
 }
 
 impl KernelPool {
-    /// A pool that shards the accumulate stage over up to `threads`
-    /// scoped worker threads (`0` is clamped to `1`).
-    pub fn new(threads: usize) -> Self {
+    /// Shard state for up to `threads` shards (`0` is clamped to `1`).
+    pub(crate) fn new(threads: usize) -> Self {
         let threads = threads.max(1);
         KernelPool {
             threads,
@@ -78,25 +57,8 @@ impl KernelPool {
         }
     }
 
-    /// A single-threaded pool: the accumulate stage runs inline on the
-    /// calling thread (and spawns nothing).
-    pub fn serial() -> Self {
-        KernelPool::new(1)
-    }
-
-    /// A heap-free placeholder for moving a pool out of a struct field
-    /// without allocating (its empty scratch means it must never resolve
-    /// a round itself).
-    pub(crate) fn placeholder() -> Self {
-        KernelPool {
-            threads: 1,
-            shards: Vec::new(),
-            bounds: Vec::new(),
-        }
-    }
-
-    /// The maximum number of worker threads this pool shards across.
-    pub fn threads(&self) -> usize {
+    /// The maximum number of shards (threads, counting the caller's).
+    pub(crate) fn threads(&self) -> usize {
         self.threads
     }
 
@@ -105,7 +67,6 @@ impl KernelPool {
     /// owns a contiguous slot range of the CSR layout). Returns the shard
     /// count (`>= 1`; cells are never split).
     pub(crate) fn plan_cells(&mut self, grid: &GridIndex) -> usize {
-        self.ensure_scratch();
         let cells = grid.num_cells();
         let n = grid.len();
         let want = self.threads.min(cells).max(1);
@@ -140,7 +101,6 @@ impl KernelPool {
     /// Plans shard boundaries over station indices `0..n` (even
     /// contiguous ranges). Returns the shard count (`>= 1`).
     pub(crate) fn plan_stations(&mut self, n: usize) -> usize {
-        self.ensure_scratch();
         let want = self.threads.min(n).max(1);
         self.bounds.clear();
         for s in 0..want {
@@ -153,17 +113,6 @@ impl KernelPool {
     /// The planned boundaries and the per-shard scratch, split-borrowed.
     pub(crate) fn parts(&mut self) -> (&[usize], &mut [ShardScratch]) {
         (&self.bounds, &mut self.shards)
-    }
-
-    /// Guarantees at least one scratch entry, repairing a pool whose
-    /// scratch was lost — e.g. an oracle's fallback slot left holding
-    /// [`KernelPool::placeholder`] after a panicking resolve. The one-off
-    /// allocation happens only on that recovery path, never in steady
-    /// state.
-    fn ensure_scratch(&mut self) {
-        if self.shards.is_empty() {
-            self.shards.push(ShardScratch::default());
-        }
     }
 }
 
@@ -182,7 +131,6 @@ mod tests {
     #[test]
     fn zero_threads_clamps_to_one() {
         assert_eq!(KernelPool::new(0).threads(), 1);
-        assert_eq!(KernelPool::serial().threads(), 1);
         assert_eq!(KernelPool::default().threads(), 1);
     }
 

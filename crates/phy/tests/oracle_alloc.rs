@@ -11,8 +11,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use sinr_geometry::{GridIndex, Point2};
 use sinr_phy::{
-    CommGraph, GraphScratch, InterferenceMode, KernelPool, ReceptionOracle, RoundOutcome,
-    SinrParams,
+    CommGraph, GraphScratch, InterferenceMode, ReceptionOracle, RoundOutcome, SinrParams,
 };
 
 struct CountingAllocator;
@@ -79,34 +78,11 @@ fn steady_state_round_resolution_allocates_nothing() {
         oracle.resolve_into(&pts, &params, &tx_small, mode, Some(&grid), &mut out);
     }
 
-    // The explicitly pooled entry point with one worker shares the serial
-    // code path and must be equally allocation-free in steady state.
-    let mut pool = KernelPool::serial();
-    for mode in modes {
-        oracle.resolve_into_with(
-            &pts,
-            &params,
-            &tx_big,
-            mode,
-            Some(&grid),
-            &mut pool,
-            &mut out,
-        );
-    }
-
     let before = ALLOCATIONS.load(Ordering::Relaxed);
     for _round in 0..25 {
         for mode in modes {
             oracle.resolve_into(&pts, &params, &tx_big, mode, Some(&grid), &mut out);
-            oracle.resolve_into_with(
-                &pts,
-                &params,
-                &tx_small,
-                mode,
-                Some(&grid),
-                &mut pool,
-                &mut out,
-            );
+            oracle.resolve_into(&pts, &params, &tx_small, mode, Some(&grid), &mut out);
         }
     }
     let after = ALLOCATIONS.load(Ordering::Relaxed);
@@ -156,15 +132,7 @@ fn steady_state_round_resolution_allocates_nothing() {
             // Rounds within the epoch.
             for mode in modes {
                 oracle.resolve_into(&pts, &params, &tx_big, mode, Some(&grid), &mut out);
-                oracle.resolve_into_with(
-                    &pts,
-                    &params,
-                    &tx_small,
-                    mode,
-                    Some(&grid),
-                    &mut pool,
-                    &mut out,
-                );
+                oracle.resolve_into(&pts, &params, &tx_small, mode, Some(&grid), &mut out);
             }
         }
     }

@@ -2,50 +2,12 @@
 
 use rand::rngs::SmallRng;
 use sinr_geometry::MetricPoint;
-use sinr_phy::{ChurnDelta, GraphScratch, KernelPool, Network, ReceptionOracle, RoundOutcome};
+use sinr_phy::{ChurnDelta, GraphScratch, Network, ReceptionOracle, RoundOutcome};
 
 use crate::adversary::{FaultDelta, FaultPlan, FaultView};
 use crate::protocol::{NodeCtx, Protocol, TopologyChange};
 use crate::rng::node_rng;
 use crate::trace::{RoundStats, Trace};
-
-/// Reusable cross-trial scratch: the network-size-independent engine
-/// buffers ([`ReceptionOracle`], [`KernelPool`], [`RoundOutcome`],
-/// [`GraphScratch`]) that a long-running host — the `sinr-serve` worker
-/// pool — keeps warm across jobs instead of reallocating per trial.
-///
-/// An arena never influences results: every buffer it carries is fully
-/// overwritten before it is read (the oracle and outcome resize per
-/// round, the graph scratch per traversal), so
-/// [`Engine::new_reusing`]-built engines produce reports byte-identical
-/// to [`Engine::new`]-built ones. The pool is the big win: recycling it
-/// keeps physics worker threads alive across trials
-/// ([`Engine::set_physics_threads`] only respawns on a count change).
-pub struct EngineArena {
-    oracle: ReceptionOracle,
-    pool: KernelPool,
-    outcome: RoundOutcome,
-    graph_scratch: GraphScratch,
-}
-
-impl EngineArena {
-    /// A cold arena; buffers grow to their high-water marks over the
-    /// first trial recycled through it.
-    pub fn new() -> Self {
-        EngineArena {
-            oracle: ReceptionOracle::new(),
-            pool: KernelPool::serial(),
-            outcome: RoundOutcome::empty(),
-            graph_scratch: GraphScratch::new(),
-        }
-    }
-}
-
-impl Default for EngineArena {
-    fn default() -> Self {
-        Self::new()
-    }
-}
 
 /// The argument of [`Engine::set_kernel_dispatch`], which has no effect:
 /// every batch kernel is a scalar loop, so there is no kernel tier to
@@ -185,11 +147,9 @@ pub struct Engine<P: MetricPoint, Pr: Protocol> {
     // performs no steady-state heap allocations in the physical layer.
     tx_ids: Vec<usize>,
     tx_msgs: Vec<Option<Pr::Msg>>,
+    /// Owns the accumulate stage's thread cap
+    /// ([`Engine::set_physics_threads`]) and shard scratch.
     oracle: ReceptionOracle,
-    // One kernel pool per trial, reused across rounds: per-round threading
-    // cost is only the scoped-thread spawn of the accumulate stage (none
-    // at the default one thread).
-    pool: KernelPool,
     outcome: RoundOutcome,
     /// Dynamic-topology hook: between epochs the network is frozen, at
     /// epoch boundaries the mover updates positions and the network
@@ -224,53 +184,9 @@ impl<P: MetricPoint, Pr: Protocol> Engine<P, Pr> {
     /// Creates an engine; `make_node(id)` builds the state machine of each
     /// station, and per-node RNGs are derived from `seed`.
     pub fn new(net: Network<P>, seed: u64, make_node: impl FnMut(usize) -> Pr) -> Self {
-        let oracle = net.new_oracle();
-        Self::with_buffers(
-            net,
-            seed,
-            make_node,
-            oracle,
-            KernelPool::serial(),
-            RoundOutcome::empty(),
-            GraphScratch::new(),
-        )
-    }
-
-    /// As [`Engine::new`], but stealing the reusable buffers from
-    /// `arena` instead of allocating fresh ones — the per-trial entry
-    /// point of long-running hosts. Return them with
-    /// [`Engine::recycle_into`] when the trial ends. Results are
-    /// byte-identical to [`Engine::new`]: every recycled buffer is
-    /// overwritten before first read.
-    pub fn new_reusing(
-        net: Network<P>,
-        seed: u64,
-        make_node: impl FnMut(usize) -> Pr,
-        arena: &mut EngineArena,
-    ) -> Self {
-        Self::with_buffers(
-            net,
-            seed,
-            make_node,
-            std::mem::replace(&mut arena.oracle, ReceptionOracle::new()),
-            std::mem::replace(&mut arena.pool, KernelPool::serial()),
-            std::mem::replace(&mut arena.outcome, RoundOutcome::empty()),
-            std::mem::take(&mut arena.graph_scratch),
-        )
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn with_buffers(
-        net: Network<P>,
-        seed: u64,
-        mut make_node: impl FnMut(usize) -> Pr,
-        oracle: ReceptionOracle,
-        pool: KernelPool,
-        outcome: RoundOutcome,
-        graph_scratch: GraphScratch,
-    ) -> Self {
         let n = net.len();
-        let nodes = (0..n).map(&mut make_node).collect();
+        let oracle = net.new_oracle();
+        let nodes = (0..n).map(make_node).collect();
         let rngs = (0..n).map(|i| node_rng(seed, i as u64, 0)).collect();
         Engine {
             net,
@@ -283,8 +199,7 @@ impl<P: MetricPoint, Pr: Protocol> Engine<P, Pr> {
             tx_ids: Vec::with_capacity(n),
             tx_msgs: Vec::new(),
             oracle,
-            pool,
-            outcome,
+            outcome: RoundOutcome::empty(),
             mobility: None,
             churn: None,
             adversary: None,
@@ -292,7 +207,7 @@ impl<P: MetricPoint, Pr: Protocol> Engine<P, Pr> {
             num_jammed: 0,
             fault_stats: FaultStats::default(),
             delta: ChurnDelta::new(),
-            graph_scratch,
+            graph_scratch: GraphScratch::new(),
             seed,
         }
     }
@@ -414,18 +329,18 @@ impl<P: MetricPoint, Pr: Protocol> Engine<P, Pr> {
     ///
     /// Results are **bitwise identical at any thread count** — the
     /// reception pipeline's sharding contract — so this only trades
-    /// wall-clock for cores. Worthwhile for large networks (≳10⁴
-    /// stations) in the grid-native mode; small rounds are dominated by
-    /// the per-round spawn cost.
+    /// wall-clock for cores. It pays where rounds are dense: at two
+    /// threads, whole grid-native runs were 1.17–1.59× faster on the
+    /// `flood-dense-30k` shape (~870 transmitters per round) but
+    /// 0.87–1.17× (median 0.97×, no gain) on the sparse
+    /// `sbcast-static-10k` shape (see the `sinr-phy` crate docs).
     pub fn set_physics_threads(&mut self, threads: usize) {
-        if threads != self.pool.threads() {
-            self.pool = KernelPool::new(threads);
-        }
+        self.oracle.set_threads(threads);
     }
 
     /// The physics thread count rounds are resolved with.
     pub fn physics_threads(&self) -> usize {
-        self.pool.threads()
+        self.oracle.threads()
     }
 
     /// Sets how mobility/churn epoch boundaries refresh the spatial index
@@ -533,12 +448,8 @@ impl<P: MetricPoint, Pr: Protocol> Engine<P, Pr> {
             }
         }
 
-        self.net.resolve_with_pool(
-            &mut self.oracle,
-            &mut self.pool,
-            &self.tx_ids,
-            &mut self.outcome,
-        );
+        self.net
+            .resolve_with(&mut self.oracle, &self.tx_ids, &mut self.outcome);
         let receptions = self.outcome.num_receivers();
 
         for &t in &self.tx_ids {
@@ -837,17 +748,6 @@ impl<P: MetricPoint, Pr: Protocol> Engine<P, Pr> {
     /// Consumes the engine, returning the node state machines (for
     /// post-run inspection of colors, decisions, …).
     pub fn into_nodes(self) -> Vec<Pr> {
-        self.nodes
-    }
-
-    /// As [`Engine::into_nodes`], additionally handing the warm reusable
-    /// buffers back to `arena` for the next trial (the counterpart of
-    /// [`Engine::new_reusing`]).
-    pub fn recycle_into(self, arena: &mut EngineArena) -> Vec<Pr> {
-        arena.oracle = self.oracle;
-        arena.pool = self.pool;
-        arena.outcome = self.outcome;
-        arena.graph_scratch = self.graph_scratch;
         self.nodes
     }
 }

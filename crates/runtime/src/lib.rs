@@ -28,7 +28,7 @@ pub use adversary::{
     BlackoutAdversary, CutVertexAdversary, FaultDelta, FaultPlan, FaultPlanSet, FaultView,
     JamAdversary, PhaseCrashAdversary, WakeSchedule,
 };
-pub use engine::{Accumulation, Engine, EngineArena, FaultStats, KernelDispatch, RunResult};
+pub use engine::{Accumulation, Engine, FaultStats, KernelDispatch, RunResult};
 pub use protocol::{bernoulli, NodeCtx, Protocol, TopologyChange};
 pub use rng::{derive_seed, node_rng};
 pub use trace::{RoundStats, Trace};

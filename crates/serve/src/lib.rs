@@ -1,9 +1,7 @@
 //! `sinr-serve`: a persistent simulation server over plain TCP.
 //!
-//! The server holds a pool of worker threads, each owning a persistent
-//! [`EngineArena`] so consecutive trials reuse the reception oracle,
-//! kernel pool, round-outcome and graph-scratch allocations across
-//! *jobs*, not just within one sweep. Clients speak a line-delimited
+//! The server holds a pool of worker threads, each running one trial at
+//! a time through [`Simulation::run`]. Clients speak a line-delimited
 //! protocol of canonical-JSON objects (grammar in
 //! [`sinr_core::sim`]'s "Simulation as a service" section): `submit` a
 //! [`ScenarioSpec`] plus seeds, get one trial per seed scheduled on the
@@ -29,13 +27,13 @@
 //! one is an `error` event for the submitting client and never reaches a
 //! worker. A trial that still fails — a scenario error, or a panic in a
 //! generator or the engine — becomes an `error` event for its job; the
-//! job still ends with `done`, and the worker carries on with a fresh
-//! arena.
+//! job still ends with `done`, and the worker carries on with the next
+//! trial.
 //!
 //! # Determinism
 //!
-//! A trial's report is a pure function of `(spec, seed)` — arena reuse,
-//! worker count, subscriber count and drop patterns cannot perturb it.
+//! A trial's report is a pure function of `(spec, seed)` — worker
+//! count, subscriber count and drop patterns cannot perturb it.
 //! The `report` event embeds the canonical
 //! [`sinr_core::sim::wire`] bytes, so what a client reads off the
 //! socket is byte-identical to [`encode_run_report`] of an in-process
@@ -61,7 +59,7 @@ use std::thread;
 use std::time::Duration;
 
 use sinr_core::sim::wire::run_report_to_value;
-use sinr_core::sim::{encode_run_report, EngineArena, Observer, ScenarioSpec, Simulation};
+use sinr_core::sim::{encode_run_report, Observer, ScenarioSpec, Simulation};
 use sinr_geometry::Point2;
 use sinr_runtime::RoundStats;
 use sinr_wire::Value;
@@ -132,6 +130,9 @@ enum Line {
     /// A round line, with its subscriber's count of unwritten round lines
     /// for the writer to release once the line is out.
     Round(String, Arc<AtomicUsize>),
+    /// The reader refused the connection's input: the writer delivers
+    /// the lines queued ahead of this one, then closes the socket.
+    Close,
 }
 
 /// One registration of a connection on a job. Every event goes through
@@ -212,11 +213,11 @@ impl Job {
     }
 
     /// Per-subscriber completion notice carrying that subscriber's own
-    /// round-drop count.
+    /// round-drop count. The job then lets go of its subscribers, so a
+    /// connection whose reader has ended stops once its jobs are done.
     fn finish(&self) {
-        for sub in self.subscribers.lock().unwrap().iter() {
-            let dropped = sub.dropped();
-            sub.push_control(done_line(self.id, dropped));
+        for sub in std::mem::take(&mut *self.subscribers.lock().unwrap()) {
+            sub.push_control(done_line(self.id, sub.dropped()));
         }
     }
 
@@ -243,9 +244,11 @@ struct Shared {
     shutdown: AtomicBool,
     jobs: Mutex<BTreeMap<u64, Arc<Job>>>,
     next_job: AtomicU64,
-    /// Clones of every live connection, shut down on server shutdown so
-    /// blocked `read_line`s return EOF.
-    conns: Mutex<Vec<TcpStream>>,
+    /// A clone of every live connection by connection number, shut down
+    /// on server shutdown so blocked reads return EOF and blocked writes
+    /// fail.
+    conns: Mutex<BTreeMap<u64, TcpStream>>,
+    next_conn: AtomicU64,
 }
 
 impl Shared {
@@ -257,7 +260,8 @@ impl Shared {
             shutdown: AtomicBool::new(false),
             jobs: Mutex::new(BTreeMap::new()),
             next_job: AtomicU64::new(1),
-            conns: Mutex::new(Vec::new()),
+            conns: Mutex::new(BTreeMap::new()),
+            next_conn: AtomicU64::new(0),
         }
     }
 
@@ -268,7 +272,7 @@ impl Shared {
     fn begin_shutdown(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
         self.available.notify_all();
-        for conn in self.conns.lock().unwrap().iter() {
+        for conn in self.conns.lock().unwrap().values() {
             let _ = conn.shutdown(Shutdown::Both);
         }
         // Wake the accept loop. The connect happens strictly after the
@@ -340,12 +344,10 @@ fn build_simulation(job: &Arc<Job>, seed: u64) -> Result<Simulation<Point2>, Str
         .map_err(|e| e.to_string())
 }
 
-fn run_trial(trial: &Trial, arena: &mut EngineArena) {
+fn run_trial(trial: &Trial) {
     let job = &trial.job;
-    let outcome = build_simulation(job, trial.seed).and_then(|sim| {
-        sim.run_reusing(trial.seed, arena)
-            .map_err(|e| e.to_string())
-    });
+    let outcome = build_simulation(job, trial.seed)
+        .and_then(|sim| sim.run(trial.seed).map_err(|e| e.to_string()));
     match outcome {
         Ok(report) => {
             let line = event_line(vec![
@@ -378,17 +380,13 @@ fn panic_message(payload: &(dyn Any + Send)) -> &str {
 }
 
 fn worker(shared: &Shared) {
-    // The persistent arena: trials of *different* jobs landing on this
-    // worker reuse the same oracle/pool/outcome/scratch allocations.
-    let mut arena = EngineArena::new();
     while let Some(trial) = shared.next_trial() {
         // A panicking trial (a spec that passes `build()` but trips an
         // assert deeper down) becomes that trial's `error` event; the
-        // worker survives with a fresh arena, and `remaining` still
-        // counts the trial so subscribers get their `done`.
-        let ran = panic::catch_unwind(AssertUnwindSafe(|| run_trial(&trial, &mut arena)));
+        // worker survives, and `remaining` still counts the trial so
+        // subscribers get their `done`.
+        let ran = panic::catch_unwind(AssertUnwindSafe(|| run_trial(&trial)));
         if let Err(payload) = ran {
-            arena = EngineArena::new();
             trial.job.fan_control(&error_line(&format!(
                 "job {} seed {}: trial panicked: {}",
                 trial.job.id,
@@ -406,14 +404,11 @@ fn worker(shared: &Shared) {
 // Connection side
 // ---------------------------------------------------------------------
 
-/// The per-connection outgoing half shared between the reader (which
-/// queues responses and registers subscriptions) and the writer thread
-/// (which writes the queue to the socket).
+/// The reader's end of its connection's outgoing queue, through which it
+/// queues responses and registers subscriptions; the writer thread
+/// writes the queue to the socket.
 struct Outgoing {
     tx: Sender<Line>,
-    /// Set by the reader when it refuses the connection's input: the
-    /// writer delivers the queued events, then closes the socket.
-    closing: AtomicBool,
 }
 
 impl Outgoing {
@@ -424,50 +419,49 @@ impl Outgoing {
     }
 }
 
-fn write_line(out: &mut impl Write, line: Line) -> io::Result<()> {
+/// Writes one line; `Ok(false)` at [`Line::Close`].
+fn write_line(out: &mut impl Write, line: Line) -> io::Result<bool> {
     match line {
-        Line::Control(text) => out.write_all(text.as_bytes()),
+        Line::Control(text) => out.write_all(text.as_bytes()).map(|()| true),
         Line::Round(text, unwritten) => {
             let written = out.write_all(text.as_bytes());
             unwritten.fetch_sub(1, Ordering::SeqCst);
-            written
+            written.map(|()| true)
         }
+        Line::Close => Ok(false),
     }
 }
 
-/// Writes `first` and everything queued behind it, then flushes once.
-fn write_queued(out: &mut impl Write, first: Line, rx: &Receiver<Line>) -> io::Result<()> {
-    write_line(out, first)?;
-    for line in rx.try_iter() {
-        write_line(out, line)?;
+/// Writes `first` and everything queued behind it up to a
+/// [`Line::Close`], then flushes once. `Ok(false)` if it met the close.
+fn write_queued(out: &mut impl Write, first: Line, rx: &Receiver<Line>) -> io::Result<bool> {
+    let mut open = write_line(out, first)?;
+    while open {
+        let Ok(line) = rx.try_recv() else { break };
+        open = write_line(out, line)?;
     }
-    out.flush()
+    out.flush()?;
+    Ok(open)
 }
 
-fn writer_loop(shared: &Shared, outgoing: &Outgoing, rx: &Receiver<Line>, stream: TcpStream) {
+/// Writes the connection's queue to the socket until the queue closes:
+/// the reader has ended and every job the connection subscribed to has
+/// sent its `done` (each sender is gone), the reader queued
+/// [`Line::Close`], a write failed, or the server shuts down.
+fn writer_loop(shared: &Shared, rx: Receiver<Line>, stream: TcpStream) {
     let mut out = BufWriter::new(stream);
     loop {
-        if outgoing.closing.load(Ordering::SeqCst) {
-            // Every line the reader queued before setting the flag is
-            // already in the queue.
-            if let Ok(first) = rx.try_recv() {
-                let _ = write_queued(&mut out, first, rx);
-            }
-            let _ = out.get_ref().shutdown(Shutdown::Both);
-            return;
-        }
         match rx.recv_timeout(TICK) {
-            Ok(first) => {
-                if write_queued(&mut out, first, rx).is_err() {
+            Ok(first) => match write_queued(&mut out, first, &rx) {
+                Ok(true) => {}
+                Ok(false) => {
+                    let _ = out.get_ref().shutdown(Shutdown::Both);
                     return;
                 }
-            }
-            Err(RecvTimeoutError::Timeout) => {
-                if shared.is_shutdown() {
-                    return;
-                }
-            }
-            Err(RecvTimeoutError::Disconnected) => return,
+                Err(_) => return,
+            },
+            Err(RecvTimeoutError::Timeout) if !shared.is_shutdown() => {}
+            Err(_) => return,
         }
     }
 }
@@ -596,22 +590,16 @@ fn handle_request(shared: &Shared, outgoing: &Outgoing, line: &str) -> bool {
 }
 
 fn handle_connection(shared: &Shared, stream: TcpStream) {
-    let Ok(write_half) = stream.try_clone() else {
+    let (Ok(write_half), Ok(shutdown_handle)) = (stream.try_clone(), stream.try_clone()) else {
         return;
     };
-    if let Ok(shutdown_handle) = stream.try_clone() {
-        let mut conns = shared.conns.lock().unwrap();
-        conns.retain(|c| c.peer_addr().is_ok());
-        conns.push(shutdown_handle);
-    }
+    let conn = shared.next_conn.fetch_add(1, Ordering::SeqCst);
+    shared.conns.lock().unwrap().insert(conn, shutdown_handle);
     let (tx, rx) = std::sync::mpsc::channel();
-    let outgoing = Outgoing {
-        tx,
-        closing: AtomicBool::new(false),
-    };
     thread::scope(|scope| {
-        let writer_outgoing = &outgoing;
-        scope.spawn(move || writer_loop(shared, writer_outgoing, &rx, write_half));
+        scope.spawn(move || writer_loop(shared, rx, write_half));
+        // Owned by the reader, so its sender goes when the reader ends.
+        let outgoing = Outgoing { tx };
         let mut reader = BufReader::new(stream);
         let mut line = Vec::new();
         loop {
@@ -625,7 +613,7 @@ fn handle_connection(shared: &Shared, stream: TcpStream) {
                     let _ = outgoing.send(error_line(&format!(
                         "request line exceeds {MAX_REQUEST_BYTES} bytes; closing the connection"
                     )));
-                    outgoing.closing.store(true, Ordering::SeqCst);
+                    let _ = outgoing.tx.send(Line::Close);
                     break;
                 }
                 Ok(_) => {
@@ -642,10 +630,11 @@ fn handle_connection(shared: &Shared, stream: TcpStream) {
                 }
             }
         }
-        // Reader done. The writer exits on its next tick once shutdown
-        // is set or its socket write fails (client gone); until then it
-        // keeps draining events for jobs this connection subscribed.
+        // Reader done: dropping `outgoing` leaves the queue to the jobs
+        // this connection subscribed to, and the writer drains their
+        // events until the last one sends `done`.
     });
+    shared.conns.lock().unwrap().remove(&conn);
 }
 
 // ---------------------------------------------------------------------
@@ -684,7 +673,7 @@ impl Server {
 
     /// Serves until shutdown: accepts connections, one handler pair
     /// (reader + writer thread) per client, over a shared pool of
-    /// `workers` arena-reusing trial threads. Every thread is scoped —
+    /// `workers` trial threads. Every thread is scoped —
     /// when this returns, all of them have exited.
     ///
     /// # Errors

@@ -39,7 +39,7 @@ fn concurrent_clients_get_byte_identical_reports() {
         .collect();
 
     // Three clients submit the same spec concurrently; trials from all
-    // three jobs interleave on the two shared arena-reusing workers.
+    // three jobs interleave on the two shared workers.
     thread::scope(|scope| {
         for client_idx in 0..3 {
             let spec = &spec;

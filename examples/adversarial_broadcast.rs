@@ -28,6 +28,7 @@
 //! seeded outcomes — update them deliberately if any stream
 //! derivation changes.
 
+use sinr_broadcast::phy::InterferenceMode;
 use sinr_broadcast::sim::{AdversarySpec, ProtocolSpec, Scenario, Simulation, TopologySpec};
 
 /// Stations at epoch 0.
@@ -49,7 +50,7 @@ fn scenario(protocol: ProtocolSpec) -> Simulation {
         density: 40.0,
     })
     .protocol(protocol)
-    .fast_physics()
+    .interference_mode(InterferenceMode::grid_native())
     .adversary(AdversarySpec::cut_vertex_kill(KILL_FRACTION, 1, EPOCH))
     .budget(2_000)
     .build()

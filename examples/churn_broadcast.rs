@@ -50,7 +50,7 @@ fn scenario_surface() {
             p: 0.1,
             burst_rounds: 40,
         })
-        .fast_physics()
+        .interference_mode(InterferenceMode::grid_native())
         .mobility(MobilitySpec::random_waypoint(0.15, 8))
         // ~2 arrivals expected per 8-round epoch, ~12-epoch mean
         // lifetime. Dead stations keep their indices (tombstones);

@@ -12,6 +12,7 @@
 //! thread count). Everything stays a pure function of the run seed, so
 //! the closing sweep replays bit-for-bit.
 
+use sinr_broadcast::phy::InterferenceMode;
 use sinr_broadcast::sim::{MobilitySpec, ProtocolSpec, Scenario, TopologySpec};
 
 fn main() {
@@ -22,7 +23,7 @@ fn main() {
     let sim = Scenario::new(TopologySpec::ConnectedSquareDensity { n, density: 30.0 })
         .protocol(ProtocolSpec::SBroadcast { source: 0 })
         .mobility(MobilitySpec::random_waypoint(0.15, 8))
-        .fast_physics()
+        .interference_mode(InterferenceMode::grid_native())
         .budget(200_000)
         .build()
         .expect("protocol and budget set");
@@ -39,7 +40,7 @@ fn main() {
     // across sparse cuts. Compare against the frozen topology.
     let frozen = Scenario::new(TopologySpec::ConnectedSquareDensity { n, density: 30.0 })
         .protocol(ProtocolSpec::SBroadcast { source: 0 })
-        .fast_physics()
+        .interference_mode(InterferenceMode::grid_native())
         .budget(200_000)
         .build()
         .unwrap()

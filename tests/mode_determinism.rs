@@ -336,7 +336,7 @@ fn acceptance_churned_waypoint_10k_is_byte_identical_at_any_thread_count() {
         p: 0.05,
         burst_rounds: 16,
     })
-    .fast_physics()
+    .interference_mode(InterferenceMode::grid_native())
     .mobility(MobilitySpec::random_waypoint(0.25, 8))
     .churn(ChurnSpec::poisson(20.0, 6.0, 8))
     .record_rounds()
@@ -370,7 +370,7 @@ fn acceptance_mobile_waypoint_10k_is_byte_identical_at_any_thread_count() {
         side: 18.0,
     })
     .protocol(ProtocolSpec::FloodBroadcast { source: 0, p: 0.05 })
-    .fast_physics()
+    .interference_mode(InterferenceMode::grid_native())
     .mobility(MobilitySpec::random_waypoint(0.25, 8))
     .record_rounds()
     .budget(24);
@@ -391,19 +391,19 @@ fn acceptance_mobile_waypoint_10k_is_byte_identical_at_any_thread_count() {
 }
 
 #[test]
-fn fast_physics_selects_grid_native_and_completes() {
+fn sbroadcast_completes_under_grid_native_physics() {
     let sim = Scenario::new(TopologySpec::ConnectedSquareDensity {
         n: 60,
         density: 30.0,
     })
     .constants(fast())
     .protocol(ProtocolSpec::SBroadcast { source: 0 })
-    .fast_physics()
+    .interference_mode(InterferenceMode::grid_native())
     .budget(2_000_000)
     .build()
     .unwrap();
     let report = sim.run(7).unwrap();
-    assert!(report.completed, "broadcast under fast physics: {report:?}");
+    assert!(report.completed, "grid-native broadcast: {report:?}");
     assert_eq!(report.informed, report.n);
 }
 
