@@ -45,14 +45,14 @@ struct Args {
     baseline: String,
     fresh: String,
     max_ratio: f64,
-    floor_ns: u128,
+    floor_ns: u64,
 }
 
 fn parse_args() -> Args {
     let mut baseline = None;
     let mut fresh = None;
     let mut max_ratio = 1.25f64;
-    let mut floor_ns = 10_000u128;
+    let mut floor_ns = 10_000u64;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         let mut value = |what: &str| {
@@ -80,7 +80,7 @@ fn main() -> ExitCode {
     let read = |path: &str| {
         let text =
             std::fs::read_to_string(path).unwrap_or_else(|e| panic!("cannot read {path}: {e}"));
-        parse_records(&text)
+        parse_records(&text).unwrap_or_else(|e| panic!("malformed {path}: {e}"))
     };
     let baseline = read(&args.baseline);
     let fresh = read(&args.fresh);

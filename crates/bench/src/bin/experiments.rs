@@ -21,7 +21,7 @@ fn usage() {
 }
 
 // Wall-clock progress timing in the experiments driver: bench is the one
-// crate allowed to read clocks (clippy.toml mirrors sinr-lint wall-clock).
+// crate allowed to read clocks (clippy.toml disallows them elsewhere).
 #[allow(clippy::disallowed_methods)]
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();

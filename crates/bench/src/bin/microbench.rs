@@ -7,11 +7,12 @@
 //! and always writes a unified JSON report (default `BENCH.json`,
 //! override with `--json <path>`; `--quick` shrinks sizes for CI smoke
 //! runs; `--suite phy|broadcast|coloring|mobility|churn|degradation|repair`
-//! runs one suite only):
+//! runs one suite only). Any other argument is a usage error, so a typo
+//! never overwrites the committed report:
 //!
 //! ```text
-//! cargo run --release -p sinr-bench --bin microbench \
-//!     [-- --json BENCH.json] [-- --quick] [-- --suite phy]
+//! cargo run --release -p sinr-bench --bin microbench -- \
+//!     [--json BENCH.json] [--quick] [--suite phy]
 //! ```
 //!
 //! CI runs this on every push, uploads the report as a workflow

@@ -24,7 +24,7 @@ use sinr_netgen::uniform;
 use sinr_phy::{CommGraph, SinrParams};
 
 // Wall-clock progress timing in the smoke driver: bench is the one crate
-// allowed to read clocks (clippy.toml mirrors sinr-lint wall-clock).
+// allowed to read clocks (clippy.toml disallows them elsewhere).
 #[allow(clippy::disallowed_methods)]
 fn main() {
     let n: usize = std::env::args()

@@ -2,9 +2,8 @@
 //! theorem) and the baselines on a fixed cluster chain, plus the sweep
 //! path itself — all through the `Scenario` API.
 //!
-//! Shared by the `broadcast` bench target and the `microbench` binary, so
-//! the tracked `BENCH.json` carries the same cases the interactive bench
-//! prints. Naming scheme: `broadcast/chain_d4/<case>`.
+//! Run by `microbench --suite broadcast`, which also writes the tracked
+//! `BENCH.json`. Naming scheme: `broadcast/chain_d4/<case>`.
 
 use sinr_core::sim::{ProtocolSpec, Scenario, TopologySpec};
 use sinr_core::Constants;

@@ -1,9 +1,8 @@
 //! The coloring benchmark suite: full `StabilizeProbability` executions
 //! and the invariant verifiers.
 //!
-//! Shared by the `coloring` bench target and the `microbench` binary, so
-//! the tracked `BENCH.json` carries the same cases the interactive bench
-//! prints. Naming scheme: `coloring/<case>/<n>`.
+//! Run by `microbench --suite coloring`, which also writes the tracked
+//! `BENCH.json`. Naming scheme: `coloring/<case>/<n>`.
 
 use sinr_core::invariant_report;
 use sinr_core::sim::{Outcome, ProtocolSpec, Scenario, Simulation};

@@ -28,9 +28,10 @@
 //! per-trial seed loops live here, once.
 //!
 //! Like every library crate in the workspace, this harness is pure safe
-//! Rust (`sinr-lint` rule `forbid-unsafe` checks the attribute below); it
-//! is also the one crate *allowed* to read wall clocks and print, being
-//! the designated measurement/reporting surface.
+//! Rust (the attribute below; `tests/workspace_lints.rs` checks every
+//! library root carries it); it is also the one crate *allowed* to read
+//! wall clocks and print, being the designated measurement/reporting
+//! surface.
 
 #![forbid(unsafe_code)]
 

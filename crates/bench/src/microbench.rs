@@ -1,17 +1,24 @@
-//! A minimal timing harness for the `benches/` targets.
+//! A minimal timing harness for the `microbench` binary and the
+//! `substrate` bench target.
 //!
-//! The offline build environment cannot fetch criterion, so the bench
-//! binaries use this instead: warm up, run a fixed number of timed
-//! iterations, and print min/mean/max wall-clock per iteration. Benches
-//! are declared `harness = false` and excluded from `cargo test`.
+//! The offline build environment cannot fetch criterion, so the
+//! benchmarks use this instead: warm up, run a fixed number of timed
+//! iterations, and print min/mean/max wall-clock per iteration. The
+//! `substrate` bench is declared `harness = false` and excluded from
+//! `cargo test`; every other suite runs through
+//! `microbench --suite <name>`.
 //!
 //! Besides printing, a [`Session`] collects machine-readable
 //! [`BenchRecord`]s and — when the binary is invoked with `--json <path>`
-//! — writes them as a JSON array, so benchmark results can be tracked
-//! across commits (`BENCH.json` at the repository root holds the
-//! committed trajectory; CI regenerates and uploads it per run).
+//! — writes them as a JSON array, one canonical [`sinr_wire`] object per
+//! line, so benchmark results can be tracked across commits
+//! (`BENCH.json` at the repository root holds the committed trajectory;
+//! CI regenerates and uploads it per run). [`parse_records`] reads such a
+//! file back and rejects a malformed one.
 
 use std::time::{Duration, Instant};
+
+use sinr_wire::Value;
 
 /// Re-export of [`std::hint::black_box`] under the criterion-familiar
 /// name.
@@ -26,33 +33,53 @@ pub struct BenchRecord {
     /// Problem size the case ran at (stations, items, …).
     pub n: usize,
     /// Fastest iteration, nanoseconds.
-    pub min_ns: u128,
+    pub min_ns: u64,
     /// Mean iteration, nanoseconds.
-    pub mean_ns: u128,
+    pub mean_ns: u64,
     /// Slowest iteration, nanoseconds.
-    pub max_ns: u128,
+    pub max_ns: u64,
 }
 
 impl BenchRecord {
-    fn to_json(&self) -> String {
-        // Benchmark names are plain identifiers with '/', so escaping
-        // quotes/backslashes suffices.
-        let esc = |s: &str| s.replace('\\', "\\\\").replace('"', "\\\"");
-        format!(
-            "{{\"name\":\"{}\",\"n\":{},\"min_ns\":{},\"mean_ns\":{},\"max_ns\":{}}}",
-            esc(&self.name),
-            self.n,
-            self.min_ns,
-            self.mean_ns,
-            self.max_ns
-        )
+    fn to_value(&self) -> Value {
+        Value::Object(vec![
+            ("name".into(), Value::str(self.name.as_str())),
+            ("n".into(), Value::UInt(self.n as u64)),
+            ("min_ns".into(), Value::UInt(self.min_ns)),
+            ("mean_ns".into(), Value::UInt(self.mean_ns)),
+            ("max_ns".into(), Value::UInt(self.max_ns)),
+        ])
     }
+
+    fn from_value(v: &Value) -> Result<Self, String> {
+        let field = |key: &str| v.get(key).ok_or_else(|| format!("missing '{key}'"));
+        let uint = |key: &str| {
+            field(key)?
+                .as_u64()
+                .ok_or_else(|| format!("'{key}' is not an unsigned integer"))
+        };
+        Ok(BenchRecord {
+            name: field("name")?
+                .as_str()
+                .ok_or("'name' is not a string")?
+                .to_string(),
+            n: usize::try_from(uint("n")?).map_err(|e| e.to_string())?,
+            min_ns: uint("min_ns")?,
+            mean_ns: uint("mean_ns")?,
+            max_ns: uint("max_ns")?,
+        })
+    }
+}
+
+/// Whole nanoseconds in `d`, saturating (at ~584 years).
+fn nanos(d: Duration) -> u64 {
+    u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
 }
 
 /// Runs `f` for `iters` timed iterations (after `warmup` untimed ones),
 /// prints one line of statistics and returns the measurement.
-// bench is the one crate whose job is reading the wall clock
-// (clippy.toml mirrors sinr-lint's wall-clock rule workspace-wide).
+// bench is the one crate whose job is reading the wall clock (clippy.toml
+// disallows it workspace-wide).
 #[allow(clippy::disallowed_methods)]
 pub fn bench_record(
     name: &str,
@@ -79,9 +106,9 @@ pub fn bench_record(
     BenchRecord {
         name: name.to_string(),
         n,
-        min_ns: min.as_nanos(),
-        mean_ns: mean.as_nanos(),
-        max_ns: max.as_nanos(),
+        min_ns: nanos(min),
+        mean_ns: nanos(mean),
+        max_ns: nanos(max),
     }
 }
 
@@ -123,8 +150,9 @@ impl Session {
     ///
     /// # Panics
     ///
-    /// Panics if `--json` or `--suite` is passed without its value (a
-    /// usage error in a bench invocation).
+    /// Panics on any other argument, and if `--json` or `--suite` is
+    /// passed without its value (usage errors: a mistyped `--json` must
+    /// not fall back to overwriting the default report).
     pub fn from_args() -> Self {
         let mut session = Session::new();
         let mut args = std::env::args().skip(1);
@@ -139,15 +167,9 @@ impl Session {
                     let name = args.next().expect("--suite requires a name argument");
                     session.suite = Some(name);
                 }
-                other => {
-                    if let Some(path) = other.strip_prefix("--json=") {
-                        session.json_path = Some(path.into());
-                    } else if let Some(name) = other.strip_prefix("--suite=") {
-                        session.suite = Some(name.into());
-                    }
-                    // Ignore the harness arguments `cargo bench` forwards
-                    // (e.g. `--bench`) and any filter strings.
-                }
+                other => panic!(
+                    "unknown argument {other}; expected --json <path>, --quick or --suite <name>"
+                ),
             }
         }
         session
@@ -190,7 +212,7 @@ impl Session {
     }
 
     /// Mean nanoseconds of the named record, if it ran.
-    pub fn mean_ns(&self, name: &str) -> Option<u128> {
+    pub fn mean_ns(&self, name: &str) -> Option<u64> {
         self.records
             .iter()
             .find(|r| r.name == name)
@@ -202,7 +224,7 @@ impl Session {
         let mut out = String::from("[\n");
         for (i, r) in self.records.iter().enumerate() {
             out.push_str("  ");
-            out.push_str(&r.to_json());
+            r.to_value().encode_into(&mut out);
             if i + 1 < self.records.len() {
                 out.push(',');
             }
@@ -230,83 +252,24 @@ impl Session {
 }
 
 /// Parses a JSON array of benchmark records as written by
-/// [`Session::finish`] — the reader half of
-/// the tracked-benchmark loop (the CI regression gate uses it to compare
-/// a fresh report against the committed baseline).
+/// [`Session::finish`] — the reader half of the tracked-benchmark loop
+/// (the CI regression gate uses it to compare a fresh report against the
+/// committed baseline).
 ///
-/// Tolerant by construction: anything that does not look like a record
-/// object is skipped, so partial or hand-edited files degrade to fewer
-/// records rather than an error. Record names must not contain `{` or
-/// `}` (ours never do).
-pub fn parse_records(json: &str) -> Vec<BenchRecord> {
-    let mut out = Vec::new();
-    let mut rest = json;
-    while let Some(start) = rest.find('{') {
-        let Some(end) = rest[start..].find('}') else {
-            break;
-        };
-        let obj = &rest[start..=start + end];
-        rest = &rest[start + end + 1..];
-        let record = (|| {
-            Some(BenchRecord {
-                name: extract_str(obj, "name")?,
-                n: usize::try_from(extract_num(obj, "n")?).ok()?,
-                min_ns: extract_num(obj, "min_ns")?,
-                mean_ns: extract_num(obj, "mean_ns")?,
-                max_ns: extract_num(obj, "max_ns")?,
-            })
-        })();
-        if let Some(r) = record {
-            out.push(r);
-        }
-    }
-    out
-}
-
-/// Position just past `"key":` (tolerating whitespace around the colon)
-/// in a record object, or `None` if the key is absent.
-fn after_key(obj: &str, key: &str) -> Option<usize> {
-    let pat = format!("\"{key}\"");
-    let mut at = obj.find(&pat)? + pat.len();
-    let bytes = obj.as_bytes();
-    while bytes.get(at).is_some_and(|b| b.is_ascii_whitespace()) {
-        at += 1;
-    }
-    if bytes.get(at) != Some(&b':') {
-        return None;
-    }
-    at += 1;
-    while bytes.get(at).is_some_and(|b| b.is_ascii_whitespace()) {
-        at += 1;
-    }
-    Some(at)
-}
-
-/// Extracts the string value of `"key": "..."` from a record object,
-/// unescaping `\"` and `\\`.
-fn extract_str(obj: &str, key: &str) -> Option<String> {
-    let at = after_key(obj, key)?;
-    let rest = obj[at..].strip_prefix('"')?;
-    let mut value = String::new();
-    let mut chars = rest.chars();
-    while let Some(c) = chars.next() {
-        match c {
-            '\\' => value.push(chars.next()?),
-            '"' => return Some(value),
-            _ => value.push(c),
-        }
-    }
-    None
-}
-
-/// Extracts the unsigned integer value of `"key": <digits>` from a
-/// record object.
-fn extract_num(obj: &str, key: &str) -> Option<u128> {
-    let at = after_key(obj, key)?;
-    let end = obj[at..]
-        .find(|c: char| !c.is_ascii_digit())
-        .unwrap_or(obj.len() - at);
-    obj[at..at + end].parse().ok()
+/// # Errors
+///
+/// Input that is not a JSON array of records, or any record that lacks a
+/// field or has one of the wrong type, is an error naming the first
+/// problem, so a damaged report can never gate fewer rows than it holds.
+pub fn parse_records(json: &str) -> Result<Vec<BenchRecord>, String> {
+    let value = Value::parse(json).map_err(|e| e.to_string())?;
+    let rows = value
+        .as_array()
+        .ok_or("a benchmark report is a JSON array of records")?;
+    rows.iter()
+        .enumerate()
+        .map(|(i, row)| BenchRecord::from_value(row).map_err(|e| format!("record {i}: {e}")))
+        .collect()
 }
 
 #[cfg(test)]
@@ -346,7 +309,7 @@ mod tests {
             mean_ns: 2,
             max_ns: 3,
         };
-        assert!(r.to_json().contains("a\\\"b"));
+        assert!(r.to_value().encode().contains("a\\\"b"));
     }
 
     #[test]
@@ -362,31 +325,50 @@ mod tests {
         let mut s = Session::new();
         s.bench_n("phy/case_a/1", 128, 0, 2, || {});
         s.bench_n("broadcast/ca\"se_b", 64, 0, 2, || {});
-        let parsed = parse_records(&s.to_json());
+        let parsed = parse_records(&s.to_json()).unwrap();
         assert_eq!(parsed, s.records());
     }
 
     #[test]
-    fn parse_skips_malformed_objects() {
-        let json = r#"[
-  {"name":"ok","n":1,"min_ns":10,"mean_ns":20,"max_ns":30},
-  {"name":"missing fields","n":2},
-  {"garbage":true}
-]"#;
-        let parsed = parse_records(json);
-        assert_eq!(parsed.len(), 1);
-        assert_eq!(parsed[0].name, "ok");
-        assert_eq!(parsed[0].min_ns, 10);
-        assert_eq!(parsed[0].max_ns, 30);
-        assert!(parse_records("").is_empty());
-        assert!(parse_records("[not json").is_empty());
+    fn parse_rejects_malformed_input() {
+        let ok = r#"{"name":"ok","n":1,"min_ns":10,"mean_ns":20,"max_ns":30}"#;
+        assert_eq!(parse_records(&format!("[{ok}]")).unwrap().len(), 1);
+        for bad in [
+            "",
+            "[not json",
+            r#"{"name":"not an array"}"#,
+            r#"[{"name":"missing fields","n":2}]"#,
+            r#"[{"garbage":true}]"#,
+            r#"[{"name":"neg","n":1,"min_ns":-1,"mean_ns":2,"max_ns":3}]"#,
+            r#"[{"name":"frac","n":1,"min_ns":1.5,"mean_ns":2,"max_ns":3}]"#,
+            r#"[{"name":7,"n":1,"min_ns":1,"mean_ns":2,"max_ns":3}]"#,
+        ] {
+            assert!(parse_records(bad).is_err(), "accepted {bad:?}");
+        }
+        // One damaged row fails the whole file instead of vanishing.
+        let damaged = format!("[{ok},\n{{\"name\":\"cut\",\"n\":1}}]");
+        let err = parse_records(&damaged).unwrap_err();
+        assert!(err.contains("record 1"), "{err}");
+    }
+
+    #[test]
+    fn committed_report_reencodes_byte_identically() {
+        let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH.json");
+        let text = std::fs::read_to_string(&path).unwrap();
+        let records = parse_records(&text).unwrap();
+        assert!(!records.is_empty());
+        let session = Session {
+            records,
+            ..Session::default()
+        };
+        assert_eq!(session.to_json(), text);
     }
 
     #[test]
     fn parse_tolerates_whitespace_around_colons() {
         // Hand-edited or pretty-printed baselines still gate correctly.
         let json = r#"[{"name": "a/b", "n": 4, "min_ns": 7, "mean_ns": 8, "max_ns": 9}]"#;
-        let parsed = parse_records(json);
+        let parsed = parse_records(json).unwrap();
         assert_eq!(parsed.len(), 1);
         assert_eq!(parsed[0].name, "a/b");
         assert_eq!(parsed[0].n, 4);

@@ -2,10 +2,8 @@
 //! [`ReceptionOracle`] across interference modes, sizes and physics
 //! thread counts.
 //!
-//! Shared by the `interference` bench target and the `microbench` binary
-//! (which CI runs to produce the tracked `BENCH.json`), so the committed
-//! perf trajectory and the interactive bench measure the same cases.
-//! Every row is an `oracle/...` row of the reusable zero-allocation
+//! Run by `microbench --suite phy` (which CI runs to produce the tracked
+//! `BENCH.json`). Every row is an `oracle/...` row of the reusable zero-allocation
 //! oracle; `oracle/grid_native_r4_t<k>/...` rows shard the accumulate
 //! stage across `k` physics threads ([`ReceptionOracle::set_threads`]).
 

@@ -419,8 +419,8 @@ impl<P: MetricPoint> Scenario<P> {
         // Simulation: sweeps and physics threads share it, so repeated
         // `sweep` calls never re-query the OS and the two axes of
         // parallelism cannot oversubscribe the machine. This is the ONE
-        // call site sinr-lint's parallelism-resolver rule permits; the
-        // clippy disallowed-methods mirror needs a local allow.
+        // call site of `available_parallelism`: clippy.toml disallows it
+        // everywhere else.
         #[allow(clippy::disallowed_methods)]
         let thread_budget = std::thread::available_parallelism()
             .map(std::num::NonZeroUsize::get)
@@ -641,36 +641,22 @@ fn setup_engine<P: MetricPoint, Pr: Protocol + 'static>(
     eng
 }
 
-/// Whether every **live** node satisfies `done` (dead stations never
-/// block a goal; identical to "all nodes" on static populations).
-fn live_all<P: MetricPoint, Pr: Protocol>(
-    eng: &Engine<P, Pr>,
-    done: &impl Fn(&Pr) -> bool,
-) -> bool {
-    eng.nodes()
+/// Number of **live** nodes that report [`Protocol::is_done`] (dead
+/// stations never count towards a goal).
+fn live_done<Pr: Protocol>(nodes: &[Pr], alive: &[bool]) -> usize {
+    nodes
         .iter()
-        .zip(eng.network().alive())
-        .all(|(p, &a)| !a || done(p))
-}
-
-/// Number of **live** nodes satisfying `done`.
-fn live_count<P: MetricPoint, Pr: Protocol>(
-    eng: &Engine<P, Pr>,
-    done: &impl Fn(&Pr) -> bool,
-) -> usize {
-    eng.nodes()
-        .iter()
-        .zip(eng.network().alive())
-        .filter(|(p, &a)| a && done(p))
+        .zip(alive)
+        .filter(|(p, &a)| a && p.is_done())
         .count()
 }
 
 /// Drives an engine for up to `budget` rounds. With `until_done` the run
-/// stops as soon as every live node satisfies `done` (checked *before*
-/// each round, exactly like [`Engine::run_until`]); without it — the
-/// fixed global schedules: coloring, consensus, leader election — all
-/// `budget` rounds run and `done` only counts informed stations for the
-/// observers.
+/// stops as soon as every live node reports [`Protocol::is_done`]
+/// ([`Engine::all_live_done`], checked *before* each round, exactly like
+/// [`Engine::run_until`]); without it — the fixed global schedules:
+/// coloring, consensus, leader election — all `budget` rounds run and
+/// `is_done` only counts informed stations for the observers.
 #[allow(clippy::too_many_arguments)]
 fn drive<P: MetricPoint, Pr: Protocol + 'static>(
     scenario: &Scenario<P>,
@@ -679,7 +665,6 @@ fn drive<P: MetricPoint, Pr: Protocol + 'static>(
     budget: u64,
     until_done: bool,
     make: impl FnMut(usize) -> Pr,
-    done: impl Fn(&Pr) -> bool,
     spawn: Option<Spawn<Pr>>,
     observers: &mut [Box<dyn Observer>],
 ) -> Driven<Pr> {
@@ -692,7 +677,7 @@ fn drive<P: MetricPoint, Pr: Protocol + 'static>(
     let mut coverage: Vec<CoveragePoint> = Vec::new();
     let mut executed = 0u64;
     let completed = loop {
-        if until_done && live_all(&eng, &done) {
+        if until_done && eng.all_live_done() {
             break true;
         }
         if executed >= budget {
@@ -702,7 +687,7 @@ fn drive<P: MetricPoint, Pr: Protocol + 'static>(
         let stats = eng.step();
         executed += 1;
         if !observers.is_empty() {
-            let informed = live_count(&eng, &done);
+            let informed = live_done(eng.nodes(), eng.network().alive());
             for o in observers.iter_mut() {
                 o.on_round(&stats, informed);
             }
@@ -714,7 +699,7 @@ fn drive<P: MetricPoint, Pr: Protocol + 'static>(
             if round % epoch == 0 {
                 coverage.push(CoveragePoint {
                     round,
-                    informed: live_count(&eng, &done),
+                    informed: live_done(eng.nodes(), eng.network().alive()),
                     live: eng.network().alive().iter().filter(|&&a| a).count(),
                 });
             }
@@ -746,12 +731,11 @@ fn drive<P: MetricPoint, Pr: Protocol + 'static>(
     }
 }
 
-/// The shared tail of every broadcast-style arm: drive to the goal
-/// predicate, count the live stations that reached it, erase the node
+/// The shared tail of every broadcast-style arm: drive until every live
+/// station is done, count the live stations that are, erase the node
 /// types. The factory doubles as the churn spawn factory (spawned
 /// stations are never the source, so the same constructor yields an
 /// uninformed newcomer), hence `Clone + 'static`.
-#[allow(clippy::too_many_arguments)]
 fn broadcast_arm<P: MetricPoint, Pr: Protocol + 'static>(
     scenario: &Scenario<P>,
     net: Network<P>,
@@ -759,21 +743,13 @@ fn broadcast_arm<P: MetricPoint, Pr: Protocol + 'static>(
     budget: u64,
     observers: &mut [Box<dyn Observer>],
     make: impl FnMut(usize) -> Pr + Clone + 'static,
-    done: impl Fn(&Pr) -> bool,
 ) -> (Driven<()>, usize, Outcome) {
     let spawn: Option<Spawn<Pr>> = scenario
         .churn
         .as_ref()
         .map(|_| Box::new(make.clone()) as Spawn<Pr>);
-    let d = drive(
-        scenario, net, seed, budget, true, make, &done, spawn, observers,
-    );
-    let informed = d
-        .nodes
-        .iter()
-        .zip(&d.alive)
-        .filter(|(p, &a)| a && done(p))
-        .count();
+    let d = drive(scenario, net, seed, budget, true, make, spawn, observers);
+    let informed = live_done(&d.nodes, &d.alive);
     (erase(d), informed, Outcome::Broadcast)
 }
 
@@ -810,57 +786,33 @@ fn execute<P: MetricPoint>(
     let (driven, informed, outcome): (Driven<()>, usize, Outcome) = match spec.clone() {
         ProtocolSpec::NoSBroadcast { source } => {
             check_source(source, n)?;
-            broadcast_arm(
-                scenario,
-                net,
-                seed,
-                budget,
-                &mut observers,
-                move |id| NoSBroadcastNode::new(id, source, 1, n, consts),
-                NoSBroadcastNode::informed,
-            )
+            broadcast_arm(scenario, net, seed, budget, &mut observers, move |id| {
+                NoSBroadcastNode::new(id, source, 1, n, consts)
+            })
         }
         ProtocolSpec::NoSBroadcastWithEstimate { source, nu } => {
             check_source(source, n)?;
             if nu < n {
                 return Err(SimError::Spec(format!("estimate nu = {nu} below n = {n}")));
             }
-            broadcast_arm(
-                scenario,
-                net,
-                seed,
-                budget,
-                &mut observers,
-                move |id| NoSBroadcastNode::new(id, source, 1, nu, consts),
-                NoSBroadcastNode::informed,
-            )
+            broadcast_arm(scenario, net, seed, budget, &mut observers, move |id| {
+                NoSBroadcastNode::new(id, source, 1, nu, consts)
+            })
         }
         ProtocolSpec::SBroadcast { source } => {
             check_source(source, n)?;
-            broadcast_arm(
-                scenario,
-                net,
-                seed,
-                budget,
-                &mut observers,
-                move |id| SBroadcastNode::new(id, source, 1, n, consts),
-                SBroadcastNode::informed,
-            )
+            broadcast_arm(scenario, net, seed, budget, &mut observers, move |id| {
+                SBroadcastNode::new(id, source, 1, n, consts)
+            })
         }
         ProtocolSpec::SBroadcastWithEstimate { source, nu } => {
             check_source(source, n)?;
             if nu < n {
                 return Err(SimError::Spec(format!("estimate nu = {nu} below n = {n}")));
             }
-            broadcast_arm(
-                scenario,
-                net,
-                seed,
-                budget,
-                &mut observers,
-                move |id| SBroadcastNode::new(id, source, 1, nu, consts),
-                SBroadcastNode::informed,
-            )
+            broadcast_arm(scenario, net, seed, budget, &mut observers, move |id| {
+                SBroadcastNode::new(id, source, 1, nu, consts)
+            })
         }
         ProtocolSpec::Coloring => {
             let full = crate::coloring::ColoringMachine::total_rounds(n, &consts);
@@ -872,7 +824,6 @@ fn execute<P: MetricPoint>(
                 total,
                 false,
                 |_| StabilizeProtocol::new(n, consts),
-                |p| p.machine().is_finished(),
                 None,
                 &mut observers,
             );
@@ -902,39 +853,21 @@ fn execute<P: MetricPoint>(
             check_source(source, n)?;
             let rs = granularity.or_else(|| net.granularity()).unwrap_or(1.0);
             let alpha = scenario.params.alpha();
-            broadcast_arm(
-                scenario,
-                net,
-                seed,
-                budget,
-                &mut observers,
-                move |id| DaumBroadcastNode::new(id, source, 1, n, rs, alpha),
-                DaumBroadcastNode::informed,
-            )
+            broadcast_arm(scenario, net, seed, budget, &mut observers, move |id| {
+                DaumBroadcastNode::new(id, source, 1, n, rs, alpha)
+            })
         }
         ProtocolSpec::FloodBroadcast { source, p } => {
             check_source(source, n)?;
-            broadcast_arm(
-                scenario,
-                net,
-                seed,
-                budget,
-                &mut observers,
-                move |id| FloodNode::new(id, source, 1, p),
-                FloodNode::informed,
-            )
+            broadcast_arm(scenario, net, seed, budget, &mut observers, move |id| {
+                FloodNode::new(id, source, 1, p)
+            })
         }
         ProtocolSpec::LocalBroadcast { source } => {
             check_source(source, n)?;
-            broadcast_arm(
-                scenario,
-                net,
-                seed,
-                budget,
-                &mut observers,
-                move |id| LocalBroadcastNode::new(id, source, 1, n, 0.5),
-                LocalBroadcastNode::informed,
-            )
+            broadcast_arm(scenario, net, seed, budget, &mut observers, move |id| {
+                LocalBroadcastNode::new(id, source, 1, n, 0.5)
+            })
         }
         ProtocolSpec::ReFloodBroadcast {
             source,
@@ -942,15 +875,9 @@ fn execute<P: MetricPoint>(
             burst_rounds,
         } => {
             check_source(source, n)?;
-            broadcast_arm(
-                scenario,
-                net,
-                seed,
-                budget,
-                &mut observers,
-                move |id| crate::baselines::ReFloodNode::new(id, source, 1, p, burst_rounds),
-                crate::baselines::ReFloodNode::informed,
-            )
+            broadcast_arm(scenario, net, seed, budget, &mut observers, move |id| {
+                crate::baselines::ReFloodNode::new(id, source, 1, p, burst_rounds)
+            })
         }
         ProtocolSpec::ReFloodBroadcastEstimate {
             source,
@@ -958,41 +885,21 @@ fn execute<P: MetricPoint>(
             burst_rounds,
         } => {
             check_source(source, n)?;
-            broadcast_arm(
-                scenario,
-                net,
-                seed,
-                budget,
-                &mut observers,
-                move |id| {
-                    crate::estimate::EstimatingReFloodNode::new(id, source, 1, nu0, burst_rounds)
-                },
-                crate::estimate::EstimatingReFloodNode::informed,
-            )
+            broadcast_arm(scenario, net, seed, budget, &mut observers, move |id| {
+                crate::estimate::EstimatingReFloodNode::new(id, source, 1, nu0, burst_rounds)
+            })
         }
         ProtocolSpec::NoSBroadcastOnlineEstimate { source, nu0 } => {
             check_source(source, n)?;
-            broadcast_arm(
-                scenario,
-                net,
-                seed,
-                budget,
-                &mut observers,
-                move |id| crate::estimate::EstimatingNoSNode::new(id, source, 1, nu0, consts),
-                crate::estimate::EstimatingNoSNode::informed,
-            )
+            broadcast_arm(scenario, net, seed, budget, &mut observers, move |id| {
+                crate::estimate::EstimatingNoSNode::new(id, source, 1, nu0, consts)
+            })
         }
         ProtocolSpec::SBroadcastOnlineEstimate { source, nu0 } => {
             check_source(source, n)?;
-            broadcast_arm(
-                scenario,
-                net,
-                seed,
-                budget,
-                &mut observers,
-                move |id| crate::estimate::EstimatingSNode::new(id, source, 1, nu0, consts),
-                crate::estimate::EstimatingSNode::informed,
-            )
+            broadcast_arm(scenario, net, seed, budget, &mut observers, move |id| {
+                crate::estimate::EstimatingSNode::new(id, source, 1, nu0, consts)
+            })
         }
         ProtocolSpec::GpsOracleBroadcast { source } => {
             check_source(source, n)?;
@@ -1023,7 +930,6 @@ fn execute<P: MetricPoint>(
                 budget,
                 true,
                 |id| AdhocWakeupNode::new(id, &schedule, n, consts),
-                AdhocWakeupNode::awake,
                 None,
                 &mut observers,
             );
@@ -1054,17 +960,9 @@ fn execute<P: MetricPoint>(
                     initiators.len()
                 )));
             }
-            broadcast_arm(
-                scenario,
-                net,
-                seed,
-                budget,
-                &mut observers,
-                move |id| {
-                    EstablishedWakeupNode::new(coloring.colors[id], initiators[id], n, consts)
-                },
-                |nd: &EstablishedWakeupNode| nd.signalled,
-            )
+            broadcast_arm(scenario, net, seed, budget, &mut observers, move |id| {
+                EstablishedWakeupNode::new(coloring.colors[id], initiators[id], n, consts)
+            })
         }
         ProtocolSpec::Consensus {
             values,
@@ -1086,7 +984,6 @@ fn execute<P: MetricPoint>(
                 total,
                 false,
                 |id| ConsensusNode::new(values[id], bits, n, consts, window),
-                |p| p.decided().is_some(),
                 None,
                 &mut observers,
             );
@@ -1126,7 +1023,6 @@ fn execute<P: MetricPoint>(
                     let id_value = rng.gen_range(1..(1u64 << bits));
                     LeaderNode::new(id_value, n, consts, window)
                 },
-                |p| p.is_leader().is_some(),
                 None,
                 &mut observers,
             );
@@ -1180,7 +1076,6 @@ fn execute<P: MetricPoint>(
                         window,
                     )
                 },
-                crate::alert::AlertNode::alarmed,
                 None,
                 &mut observers,
             );

@@ -61,6 +61,13 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// Libraries return data and binaries print; the hot crates also keep
+// panics out of non-test code (README.md "Static analysis").
+#![cfg_attr(
+    not(test),
+    deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)
+)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod ball;
 pub mod grid;

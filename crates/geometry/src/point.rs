@@ -123,8 +123,9 @@ macro_rules! euclidean_point {
             }
 
             fn from_coords(coords: [f64; 3]) -> Self {
+                // At most three fields, so `next` never runs dry.
                 let mut iter = coords.into_iter();
-                Self { $($field: iter.next().expect("AXES <= 3")),+ }
+                Self { $($field: iter.next().unwrap_or(0.0)),+ }
             }
 
             fn midpoint(&self, other: &Self) -> Self {

@@ -134,12 +134,11 @@ impl ReceptionOracle {
     ///
     /// Results are **bitwise identical at any thread count** (see the
     /// module docs for the sharding contract), so this only trades
-    /// wall-clock for cores. Shard scratch is reallocated only when the
-    /// count changes.
+    /// wall-clock for cores. Only the cap is stored: a round plans at most
+    /// one shard per populated cell (grid-native) or station (exact), and
+    /// shard scratch grows to what rounds plan.
     pub fn set_threads(&mut self, threads: usize) {
-        if threads.max(1) != self.pool.threads() {
-            self.pool = KernelPool::new(threads);
-        }
+        self.pool.set_threads(threads);
     }
 
     /// The thread cap of the accumulate stage.
@@ -230,6 +229,9 @@ impl ReceptionOracle {
         match mode {
             InterferenceMode::Exact => self.accumulate_exact(points, params, transmitters),
             InterferenceMode::GridNative { near_radius } => {
+                // A caller contract, like the mode check above: resolving
+                // grid-native physics without a grid is a bug, not an input.
+                #[allow(clippy::expect_used)]
                 let grid = grid.expect("GridNative interference mode requires a grid index");
                 debug_assert_eq!(
                     grid.domain_len(),
@@ -271,11 +273,9 @@ impl ReceptionOracle {
         params: &SinrParams,
         transmitters: &[usize],
     ) {
-        let n = points.len();
-        let shards = self.pool.plan_stations(n);
+        self.pool.plan_stations(points.len());
         let (bounds, scratches) = self.pool.parts();
         run_sharded(
-            shards,
             &|s| bounds[s + 1] - bounds[s],
             &mut self.total,
             &mut self.best_pow,
@@ -360,7 +360,7 @@ impl ReceptionOracle {
         self.slot_best_pow.resize(n, 0.0);
         self.slot_best_idx.resize(n, usize::MAX);
         let near_cells = (near_radius / grid.cell_side()).ceil() as i64;
-        let shards = self.pool.plan_cells(grid);
+        self.pool.plan_cells(grid);
         let (bounds, scratches) = self.pool.parts();
         let tx_cells = &self.tx_cells;
         let bucket_starts = &self.bucket_starts;
@@ -377,7 +377,6 @@ impl ReceptionOracle {
             }
         };
         run_sharded(
-            shards,
             &|s| slot_at(bounds[s + 1]) - slot_at(bounds[s]),
             &mut self.slot_total,
             &mut self.slot_best_pow,
@@ -416,46 +415,43 @@ impl ReceptionOracle {
     }
 }
 
-/// The shared shard driver of the accumulate stage: splits the three
-/// accumulator buffers into per-shard windows of `len_of(s)` elements
-/// (contiguous, disjoint — the sharding determinism contract) plus one
-/// [`ShardScratch`] each, and runs `kernel(s, ...)` per shard on scoped
-/// threads. Shard 0 runs inline on the calling thread; a single shard
-/// spawns nothing.
+/// The shared shard driver of the accumulate stage: one shard per
+/// [`ShardScratch`] in `scratches`. Splits the three accumulator buffers
+/// into per-shard windows of `len_of(s)` elements (contiguous, disjoint —
+/// the sharding determinism contract) and runs `kernel(s, ...)` per shard
+/// on scoped threads. Shard 0 runs inline on the calling thread; a single
+/// shard spawns nothing.
 fn run_sharded<K>(
-    shards: usize,
     len_of: &(dyn Fn(usize) -> usize + Sync),
     mut total: &mut [f64],
     mut best_pow: &mut [f64],
     mut best_idx: &mut [usize],
-    mut scratches: &mut [ShardScratch],
+    scratches: &mut [ShardScratch],
     kernel: &K,
 ) where
     K: Fn(usize, &mut [f64], &mut [f64], &mut [usize], &mut ShardScratch) + Sync,
 {
-    if shards <= 1 {
-        kernel(0, total, best_pow, best_idx, &mut scratches[0]);
+    if let [scr] = scratches {
+        kernel(0, total, best_pow, best_idx, scr);
         return;
     }
     std::thread::scope(|scope| {
         let mut first = None;
-        for s in 0..shards {
+        for (s, scr) in scratches.iter_mut().enumerate() {
             let len = len_of(s);
             let (t0, t1) = std::mem::take(&mut total).split_at_mut(len);
             let (p0, p1) = std::mem::take(&mut best_pow).split_at_mut(len);
             let (i0, i1) = std::mem::take(&mut best_idx).split_at_mut(len);
-            let (scr, sr) = std::mem::take(&mut scratches)
-                .split_first_mut()
-                .expect("one scratch per shard");
-            (total, best_pow, best_idx, scratches) = (t1, p1, i1, sr);
+            (total, best_pow, best_idx) = (t1, p1, i1);
             if s == 0 {
                 first = Some((t0, p0, i0, scr));
-                continue;
+            } else {
+                scope.spawn(move || kernel(s, t0, p0, i0, scr));
             }
-            scope.spawn(move || kernel(s, t0, p0, i0, scr));
         }
-        let (t0, p0, i0, scr) = first.expect("at least one shard");
-        kernel(0, t0, p0, i0, scr);
+        if let Some((t0, p0, i0, scr)) = first {
+            kernel(0, t0, p0, i0, scr);
+        }
     });
 }
 

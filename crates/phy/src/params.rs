@@ -169,6 +169,9 @@ impl SinrParams {
     }
 
     /// Standard planar defaults (α = 3, β = 1.2, N = 1, ε = 0.5, γ = 2).
+    // Constant defaults that pass every builder check (the tests build
+    // both default sets), so this cannot panic.
+    #[allow(clippy::expect_used)]
     pub fn default_plane() -> Self {
         SinrParamsBuilder::default()
             .build(2.0)
@@ -176,6 +179,9 @@ impl SinrParams {
     }
 
     /// Defaults for line networks (γ = 1); α = 2 suffices since α > γ = 1.
+    // Constant defaults that pass every builder check (the tests build
+    // both default sets), so this cannot panic.
+    #[allow(clippy::expect_used)]
     pub fn default_line() -> Self {
         SinrParamsBuilder::default()
             .alpha(2.5)

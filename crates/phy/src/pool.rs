@@ -2,10 +2,14 @@
 //!
 //! Every [`ReceptionOracle`] owns one [`KernelPool`]: the thread cap set
 //! through [`ReceptionOracle::set_threads`], one reusable `ShardScratch`
-//! per shard, and the shard boundary buffer. It holds no threads — each
-//! round the oracle spawns scoped threads for shards 1.. and runs shard 0
-//! inline, so the only per-round threading cost is that spawn; all
-//! scratch is steady-state allocation-free.
+//! per planned shard, and the shard boundary buffer. It holds no threads
+//! — each round the oracle spawns scoped threads for shards 1.. and runs
+//! shard 0 inline, so the only per-round threading cost is that spawn;
+//! all scratch is steady-state allocation-free.
+//!
+//! Shard scratch is grown to the shards a round actually plans, never to
+//! the cap: a round has at most one shard per populated cell
+//! (grid-native) or per station (exact), so an absurd cap costs nothing.
 //!
 //! Determinism contract: sharding **never** changes results. Shards own
 //! contiguous receiver-cell (grid-native) or station (exact) ranges,
@@ -34,6 +38,7 @@ pub(crate) struct ShardScratch {
 #[derive(Debug, Clone)]
 pub(crate) struct KernelPool {
     threads: usize,
+    /// One scratch per shard planned so far (grown on demand).
     shards: Vec<ShardScratch>,
     /// Shard boundaries of the current round: cell indices (grid-native)
     /// or station indices (exact), `shard_count + 1` entries.
@@ -49,10 +54,9 @@ impl Default for KernelPool {
 impl KernelPool {
     /// Shard state for up to `threads` shards (`0` is clamped to `1`).
     pub(crate) fn new(threads: usize) -> Self {
-        let threads = threads.max(1);
         KernelPool {
-            threads,
-            shards: vec![ShardScratch::default(); threads],
+            threads: threads.max(1),
+            shards: Vec::new(),
             bounds: Vec::new(),
         }
     }
@@ -60,6 +64,11 @@ impl KernelPool {
     /// The maximum number of shards (threads, counting the caller's).
     pub(crate) fn threads(&self) -> usize {
         self.threads
+    }
+
+    /// Sets the thread cap (`0` is clamped to `1`); scratch is kept.
+    pub(crate) fn set_threads(&mut self, threads: usize) {
+        self.threads = threads.max(1);
     }
 
     /// Plans shard boundaries over the populated cells of `grid`,
@@ -95,7 +104,7 @@ impl KernelPool {
             }
         }
         self.bounds.push(cells);
-        self.bounds.len() - 1
+        self.fit_scratch()
     }
 
     /// Plans shard boundaries over station indices `0..n` (even
@@ -107,12 +116,24 @@ impl KernelPool {
             self.bounds.push(s * n / want);
         }
         self.bounds.push(n);
-        want
+        self.fit_scratch()
     }
 
-    /// The planned boundaries and the per-shard scratch, split-borrowed.
+    /// Grows the scratch to the planned shard count and returns that
+    /// count.
+    fn fit_scratch(&mut self) -> usize {
+        let shards = self.bounds.len() - 1;
+        if self.shards.len() < shards {
+            self.shards.resize_with(shards, ShardScratch::default);
+        }
+        shards
+    }
+
+    /// The planned boundaries and exactly one scratch per planned shard,
+    /// split-borrowed.
     pub(crate) fn parts(&mut self) -> (&[usize], &mut [ShardScratch]) {
-        (&self.bounds, &mut self.shards)
+        let shards = self.bounds.len().saturating_sub(1);
+        (&self.bounds, &mut self.shards[..shards])
     }
 }
 
@@ -143,7 +164,7 @@ mod tests {
             let (bounds, scratch) = pool.parts();
             assert_eq!(bounds.len(), shards + 1);
             assert!(shards <= threads && shards >= 1);
-            assert!(scratch.len() >= shards);
+            assert_eq!(scratch.len(), shards);
             assert_eq!(bounds[0], 0);
             assert_eq!(*bounds.last().unwrap(), g.num_cells());
             assert!(bounds.windows(2).all(|w| w[0] < w[1]), "nonempty shards");

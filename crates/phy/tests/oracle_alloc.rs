@@ -6,6 +6,11 @@
 //! binaries are separate processes, keeping the counter isolated from the
 //! rest of the suite).
 
+// The workspace denies `unsafe_code`; a counting allocator is the one
+// place that needs it, and every `unsafe` item below carries its
+// `// SAFETY:` argument.
+#![allow(unsafe_code)]
+
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 

@@ -4,6 +4,11 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// Libraries return data; binaries print (README.md "Static analysis").
+#![cfg_attr(
+    not(test),
+    deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)
+)]
 
 pub mod rngs;
 

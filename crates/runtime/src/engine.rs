@@ -513,13 +513,10 @@ impl<P: MetricPoint, Pr: Protocol> Engine<P, Pr> {
         // Generate the epoch's delta first (the churner never touches the
         // network), so a no-op boundary returns before paying the
         // pre-change connectivity BFS below.
-        if churn_due {
-            let c = self.churn.as_mut().expect("churn_due checked");
+        self.delta.clear();
+        if let Some(c) = self.churn.as_mut().filter(|_| churn_due) {
             let epoch = self.round / c.epoch_rounds;
-            self.delta.clear();
             (c.churner)(epoch, self.net.alive(), &mut self.delta);
-        } else {
-            self.delta.clear();
         }
         if adversary_due {
             self.plan_faults();
@@ -592,8 +589,7 @@ impl<P: MetricPoint, Pr: Protocol> Engine<P, Pr> {
             joined = self.delta.num_joining();
             left = self.delta.kills.len();
         }
-        if mobility_due {
-            let m = self.mobility.as_mut().expect("mobility_due checked");
+        if let Some(m) = self.mobility.as_mut().filter(|_| mobility_due) {
             let epoch = self.round / m.epoch_rounds;
             let mover = &mut m.mover;
             self.net.update_positions(|pts| mover(epoch, pts));

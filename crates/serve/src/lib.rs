@@ -24,11 +24,12 @@
 //!
 //! A request line longer than [`MAX_REQUEST_BYTES`] is an `error` event
 //! and closes its connection. Specs are validated at `submit`, so a bad
-//! one is an `error` event for the submitting client and never reaches a
-//! worker. A trial that still fails — a scenario error, or a panic in a
-//! generator or the engine — becomes an `error` event for its job; the
-//! job still ends with `done`, and the worker carries on with the next
-//! trial.
+//! one — or one asking for more than [`MAX_PHYSICS_THREADS`] physics
+//! threads — is an `error` event for the submitting client and never
+//! reaches a worker. A trial that still fails — a scenario error, or a
+//! panic in a generator or the engine — becomes an `error` event for its
+//! job; the job still ends with `done`, and the worker carries on with
+//! the next trial.
 //!
 //! # Determinism
 //!
@@ -42,10 +43,16 @@
 //!
 //! No wall-clock is read anywhere in this crate's library: scheduling
 //! blocks on condition variables and channel receives with fixed tick
-//! durations, keeping `sinr-lint`'s determinism rules trivially green.
+//! durations, so the workspace's clock rule (clippy.toml) needs no
+//! exception here.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// Libraries return data; binaries print (README.md "Static analysis").
+#![cfg_attr(
+    not(test),
+    deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)
+)]
 
 use std::any::Any;
 use std::collections::{BTreeMap, VecDeque};
@@ -76,6 +83,11 @@ const TICK: Duration = Duration::from_millis(25);
 /// line gets one `error` event and the connection is closed, so no client
 /// can grow server memory past this per connection.
 pub const MAX_REQUEST_BYTES: u64 = 16 << 20;
+
+/// Largest `physics_threads` a submitted spec may ask for. Each round of
+/// a trial may spawn up to that many scoped threads, so a larger request
+/// is an `error` event at `submit` and never reaches a worker.
+pub const MAX_PHYSICS_THREADS: usize = 64;
 
 // ---------------------------------------------------------------------
 // Protocol lines
@@ -496,6 +508,12 @@ fn subscribe(job: &Arc<Job>, outgoing: &Outgoing, stream_rounds: bool) {
 fn handle_submit(shared: &Shared, outgoing: &Outgoing, req: &Value) -> Result<(), String> {
     let spec_value = req.get("spec").ok_or("submit is missing 'spec'")?;
     let spec = ScenarioSpec::from_value(spec_value).map_err(|e| e.to_string())?;
+    if spec.physics_threads > MAX_PHYSICS_THREADS {
+        return Err(format!(
+            "physics_threads {} exceeds the server's cap of {MAX_PHYSICS_THREADS}",
+            spec.physics_threads
+        ));
+    }
     let seeds_value = req
         .get("seeds")
         .and_then(Value::as_array)

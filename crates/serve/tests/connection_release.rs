@@ -46,8 +46,7 @@ fn connect_and_ping(addr: SocketAddr) -> Client {
 }
 
 // The bounded wait below reads the clock and sleeps; neither reaches a
-// report (clippy.toml mirrors sinr-lint's wall-clock rule, which exempts
-// this crate).
+// report, so the workspace-wide clock rule of clippy.toml is allowed here.
 #[allow(clippy::disallowed_methods)]
 #[test]
 fn closed_connections_release_their_threads_and_sockets() {

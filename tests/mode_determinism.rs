@@ -7,7 +7,9 @@
 //! at the full-protocol level (`tests/scenario_golden.rs` pins literal
 //! per-protocol reports).
 
-use sinr_broadcast::core::sim::{ChurnSpec, MobilitySpec, ProtocolSpec, Scenario, TopologySpec};
+use sinr_broadcast::core::sim::{
+    encode_run_report, ChurnSpec, MobilitySpec, ProtocolSpec, Scenario, TopologySpec,
+};
 use sinr_broadcast::core::Constants;
 use sinr_broadcast::phy::InterferenceMode;
 
@@ -85,6 +87,35 @@ fn physics_threads_leave_run_reports_byte_identical() {
             );
         }
     }
+}
+
+#[test]
+fn huge_physics_thread_cap_runs_like_one_thread() {
+    // The cap bounds the shards a round plans; it sizes nothing. A round
+    // plans at most one shard per populated cell, so an absurd cap on a
+    // small deployment must neither allocate per requested thread nor
+    // change a byte.
+    let scenario = Scenario::new(TopologySpec::ConnectedSquareDensity {
+        n: 32,
+        density: 25.0,
+    })
+    .constants(fast())
+    .protocol(ProtocolSpec::SBroadcast { source: 0 })
+    .interference_mode(InterferenceMode::grid_native())
+    .record_rounds()
+    .budget(2_000_000);
+    let one = scenario.clone().build().unwrap().run(7).unwrap();
+    let huge = scenario
+        .physics_threads(1 << 40)
+        .build()
+        .unwrap()
+        .run(7)
+        .unwrap();
+    assert_eq!(
+        encode_run_report(&one),
+        encode_run_report(&huge),
+        "physics_threads(1 << 40) changed the run"
+    );
 }
 
 #[test]
