@@ -185,6 +185,12 @@
 //! error     = {"event":"error","message":string}
 //! ```
 //!
+//! `accepted.trials` is the job's trial count, one per submitted seed,
+//! whether the `accepted` answers a `submit` or an `attach`. The server
+//! keeps every running job and the most recent finished ones
+//! (`sinr_serve::RETAINED_JOBS`); an `attach` to a job it has since
+//! forgotten gets an `error`, as does one to an id it never issued.
+//!
 //! Every event of a connection goes out in the order the server emitted
 //! it. Live `round` events are lossy: a slow subscriber drops rounds
 //! (counted in `done.dropped_rounds`) rather than stalling the engine,

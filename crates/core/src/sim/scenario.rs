@@ -169,7 +169,9 @@ impl<P: MetricPoint> Scenario<P> {
     }
 
     /// Shards each round's physics accumulate stage across up to `n`
-    /// scoped worker threads (default 1; `0` is clamped to 1).
+    /// scoped worker threads (default 1; `0` is clamped to 1, and the
+    /// engine clamps anything above [`sinr_runtime::MAX_PHYSICS_THREADS`]
+    /// to that cap).
     ///
     /// Results are **bitwise identical at any thread count** (the
     /// reception pipeline's sharding contract, pinned by
@@ -179,10 +181,10 @@ impl<P: MetricPoint> Scenario<P> {
     /// `budget / physics_threads` concurrent trials, each resolving
     /// rounds on `physics_threads` threads, so the composition stays
     /// within the budget whenever `n` itself does. Like
-    /// [`Simulation::sweep_with_threads`], the value is taken as given —
-    /// asking for more physics threads than the machine has cores
-    /// oversubscribes by exactly that choice (the results still do not
-    /// change). Prefer sweep parallelism for many trials and physics
+    /// [`Simulation::sweep_with_threads`], a value up to the cap is taken
+    /// as given — asking for more physics threads than the machine has
+    /// cores oversubscribes by exactly that choice (the results still do
+    /// not change). Prefer sweep parallelism for many trials and physics
     /// threads for few trials with dense rounds: at two threads, whole
     /// grid-native runs were 1.17–1.59× faster on the `flood-dense-30k`
     /// shape (~870 transmitters per round) and 0.87–1.17× (median 0.97×)

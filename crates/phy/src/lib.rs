@@ -106,7 +106,8 @@
 //! machine's thread budget (resolved once per `Simulation`) by the
 //! physics thread count, so the auto-sized composition of the two axes
 //! stays within the budget. Each round spawns one scoped thread per
-//! shard beyond the first. Whole `Simulation::run` wall time at two
+//! shard beyond the first, and the thread count is clamped to
+//! [`MAX_PHYSICS_THREADS`]. Whole `Simulation::run` wall time at two
 //! threads against one, grid-native, 8 pairs per shape on a 2-vCPU
 //! Xeon VM (same process, same seed per pair, alternating which side
 //! runs first):
@@ -163,6 +164,7 @@ pub use commgraph::{CommGraph, GraphScratch, UNREACHABLE};
 pub use network::{ChurnDelta, Network, NetworkError};
 pub use oracle::ReceptionOracle;
 pub use params::{ParamError, SinrParams, SinrParamsBuilder};
+pub use pool::MAX_PHYSICS_THREADS;
 pub use reception::{
     interference_at, resolve_round, total_signal_at, InterferenceMode, RoundOutcome,
 };

@@ -130,7 +130,8 @@ impl ReceptionOracle {
     }
 
     /// Shards the accumulate stage of later rounds across up to `threads`
-    /// scoped threads (default 1, i.e. inline; `0` is clamped to 1).
+    /// scoped threads (default 1, i.e. inline), clamped to
+    /// `1..=`[`MAX_PHYSICS_THREADS`](crate::MAX_PHYSICS_THREADS).
     ///
     /// Results are **bitwise identical at any thread count** (see the
     /// module docs for the sharding contract), so this only trades
@@ -665,6 +666,18 @@ mod tests {
                 same_power(&serial_oracle, &resized, &what);
             }
         }
+    }
+
+    #[test]
+    fn huge_thread_request_clamps_to_the_cap() {
+        // No round is resolved, so no thread starts.
+        let mut oracle = ReceptionOracle::new();
+        oracle.set_threads(1 << 40);
+        assert_eq!(oracle.threads(), crate::MAX_PHYSICS_THREADS);
+        oracle.set_threads(crate::MAX_PHYSICS_THREADS);
+        assert_eq!(oracle.threads(), crate::MAX_PHYSICS_THREADS);
+        oracle.set_threads(0);
+        assert_eq!(oracle.threads(), 1);
     }
 
     #[test]

@@ -1,15 +1,18 @@
 //! The shard state of the accumulate stage.
 //!
 //! Every [`ReceptionOracle`] owns one [`KernelPool`]: the thread cap set
-//! through [`ReceptionOracle::set_threads`], one reusable `ShardScratch`
-//! per planned shard, and the shard boundary buffer. It holds no threads
+//! through [`ReceptionOracle::set_threads`] (at most
+//! [`MAX_PHYSICS_THREADS`]), one reusable `ShardScratch` per planned
+//! shard, and the shard boundary buffer. It holds no threads
 //! — each round the oracle spawns scoped threads for shards 1.. and runs
 //! shard 0 inline, so the only per-round threading cost is that spawn;
 //! all scratch is steady-state allocation-free.
 //!
 //! Shard scratch is grown to the shards a round actually plans, never to
 //! the cap: a round has at most one shard per populated cell
-//! (grid-native) or per station (exact), so an absurd cap costs nothing.
+//! (grid-native) or per station (exact). The cap itself is clamped to
+//! [`MAX_PHYSICS_THREADS`], so an absurd request spawns no more threads
+//! per round than that.
 //!
 //! Determinism contract: sharding **never** changes results. Shards own
 //! contiguous receiver-cell (grid-native) or station (exact) ranges,
@@ -22,6 +25,14 @@
 //! [`ReceptionOracle::set_threads`]: crate::ReceptionOracle::set_threads
 
 use sinr_geometry::{GridIndex, PositionStore};
+
+/// Most threads one round's accumulate stage runs on, the caller's
+/// included. [`ReceptionOracle::set_threads`] clamps to it: each round
+/// spawns one scoped thread per shard beyond the first, and an exact
+/// round would otherwise plan up to one shard per station.
+///
+/// [`ReceptionOracle::set_threads`]: crate::ReceptionOracle::set_threads
+pub const MAX_PHYSICS_THREADS: usize = 64;
 
 /// Reusable scratch owned by one accumulate-stage shard.
 #[derive(Debug, Clone, Default)]
@@ -52,10 +63,11 @@ impl Default for KernelPool {
 }
 
 impl KernelPool {
-    /// Shard state for up to `threads` shards (`0` is clamped to `1`).
+    /// Shard state for up to `threads` shards, clamped to
+    /// `1..=MAX_PHYSICS_THREADS`.
     pub(crate) fn new(threads: usize) -> Self {
         KernelPool {
-            threads: threads.max(1),
+            threads: threads.clamp(1, MAX_PHYSICS_THREADS),
             shards: Vec::new(),
             bounds: Vec::new(),
         }
@@ -66,9 +78,10 @@ impl KernelPool {
         self.threads
     }
 
-    /// Sets the thread cap (`0` is clamped to `1`); scratch is kept.
+    /// Sets the thread cap, clamped to `1..=MAX_PHYSICS_THREADS`;
+    /// scratch is kept.
     pub(crate) fn set_threads(&mut self, threads: usize) {
-        self.threads = threads.max(1);
+        self.threads = threads.clamp(1, MAX_PHYSICS_THREADS);
     }
 
     /// Plans shard boundaries over the populated cells of `grid`,

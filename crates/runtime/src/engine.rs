@@ -325,7 +325,8 @@ impl<P: MetricPoint, Pr: Protocol> Engine<P, Pr> {
     }
 
     /// Shards each round's physics accumulate stage across up to
-    /// `threads` scoped worker threads (default 1, i.e. inline).
+    /// `threads` scoped worker threads (default 1, i.e. inline), clamped
+    /// to [`MAX_PHYSICS_THREADS`](crate::MAX_PHYSICS_THREADS).
     ///
     /// Results are **bitwise identical at any thread count** — the
     /// reception pipeline's sharding contract — so this only trades

@@ -38,4 +38,5 @@ pub use adversary::{
 pub use engine::{Accumulation, Engine, FaultStats, KernelDispatch, RunResult};
 pub use protocol::{bernoulli, NodeCtx, Protocol, TopologyChange};
 pub use rng::{derive_seed, node_rng};
+pub use sinr_phy::MAX_PHYSICS_THREADS;
 pub use trace::{RoundStats, Trace};

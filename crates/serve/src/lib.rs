@@ -20,6 +20,36 @@
 //! event is always queued, so a slow reader still receives every
 //! `report`.
 //!
+//! # Latency
+//!
+//! Both ends set `TCP_NODELAY`: [`Client::connect`] on its socket and the
+//! server on every socket it accepts. [`Client::send_line`] writes a
+//! request line and its `\n` in one call, and the server's writer thread
+//! writes every line queued on a connection before it flushes once. A
+//! served job therefore pays for its simulation and its bytes, not for
+//! Nagle's algorithm holding a small write until the peer's delayed ACK
+//! (about 40 ms per stall on Linux loopback).
+//!
+//! After each flush the writer lingers for up to 1 ms: round lines queued
+//! meanwhile neither wake it nor leave on their own, but join the next
+//! batch, which also leaves early once 64 lines are queued. Any other
+//! line ends the linger at once, so `accepted`, `report`, `done`, `pong`
+//! and `error` are never held. A job streaming a round every few tens of
+//! microseconds thus costs about one write and one reader wake-up per
+//! millisecond instead of one per round, which keeps a served job's cost
+//! close to its in-process run whatever the two ends' threads are
+//! scheduled on.
+//!
+//! # Retention
+//!
+//! The server keeps every running job plus the last [`RETAINED_JOBS`]
+//! finished ones, in the order they finished. The worker that finishes a
+//! job moves it into that ring and forgets the oldest job past the bound,
+//! so server memory does not grow with the number of jobs served. An
+//! `attach` to a retained job replays its reports and ends with `done`;
+//! an `attach` to a forgotten one gets `no such job`, like an id that was
+//! never issued.
+//!
 //! # Failure isolation
 //!
 //! A request line longer than [`MAX_REQUEST_BYTES`] is an `error` event
@@ -60,8 +90,7 @@ use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread;
 use std::time::Duration;
 
@@ -79,15 +108,28 @@ pub const ROUND_CHANNEL_CAPACITY: usize = 1024;
 /// How often blocked writer loops re-check the shutdown flag.
 const TICK: Duration = Duration::from_millis(25);
 
+/// Longest a writer holds round lines before it flushes them (see
+/// "Latency" above).
+const LINGER: Duration = Duration::from_millis(1);
+
+/// Queued lines that end a linger early: a full batch is flushed at once.
+const LINGER_LINES: usize = 64;
+
 /// Longest request line the server reads, its newline included. A longer
 /// line gets one `error` event and the connection is closed, so no client
 /// can grow server memory past this per connection.
 pub const MAX_REQUEST_BYTES: u64 = 16 << 20;
 
-/// Largest `physics_threads` a submitted spec may ask for. Each round of
-/// a trial may spawn up to that many scoped threads, so a larger request
-/// is an `error` event at `submit` and never reaches a worker.
-pub const MAX_PHYSICS_THREADS: usize = 64;
+/// Finished jobs the server keeps for a late `attach`, beside the running
+/// ones (see "Retention" above). A finished job holds its spec and its
+/// report lines, about 1 KB for a one-seed job at n = 500.
+pub const RETAINED_JOBS: usize = 64;
+
+/// Largest `physics_threads` a submitted spec may ask for: the engine's
+/// own cap. Each round of a trial may spawn up to that many scoped
+/// threads, and a larger request is an `error` event at `submit` that
+/// never reaches a worker.
+pub use sinr_runtime::MAX_PHYSICS_THREADS;
 
 // ---------------------------------------------------------------------
 // Protocol lines
@@ -155,7 +197,7 @@ struct Subscriber {
     /// Round lines queued on the connection and not yet written.
     unwritten_rounds: Arc<AtomicUsize>,
     dropped_rounds: AtomicU64,
-    tx: Sender<Line>,
+    tx: OutboxTx,
 }
 
 impl Subscriber {
@@ -190,12 +232,14 @@ impl Subscriber {
     }
 }
 
-/// One submitted sweep: a spec, its outstanding trial count, the
-/// subscribers to fan events out to, and the report lines already
-/// produced (replayed to late `attach`ers).
+/// One submitted sweep: a spec, its submitted and outstanding trial
+/// counts, the subscribers to fan events out to, and the report lines
+/// already produced (replayed to late `attach`ers).
 struct Job {
     id: u64,
     spec: ScenarioSpec,
+    /// The number of seeds submitted, sent as `accepted.trials`.
+    trials: usize,
     remaining: AtomicUsize,
     subscribers: Mutex<Vec<Arc<Subscriber>>>,
     reports: Mutex<Vec<String>>,
@@ -248,13 +292,35 @@ struct Trial {
 // Shared server state
 // ---------------------------------------------------------------------
 
+/// The jobs an `attach` can find: every running job plus the last
+/// [`RETAINED_JOBS`] finished ones.
+#[derive(Default)]
+struct JobTable {
+    by_id: BTreeMap<u64, Arc<Job>>,
+    /// Ids of the retained finished jobs, oldest first.
+    finished: VecDeque<u64>,
+}
+
+impl JobTable {
+    /// Moves a finished job into the ring, forgetting the oldest finished
+    /// job past [`RETAINED_JOBS`].
+    fn retire(&mut self, id: u64) {
+        self.finished.push_back(id);
+        if self.finished.len() > RETAINED_JOBS {
+            if let Some(oldest) = self.finished.pop_front() {
+                self.by_id.remove(&oldest);
+            }
+        }
+    }
+}
+
 struct Shared {
     /// The server's own bound address, for the shutdown self-connect.
     addr: SocketAddr,
     queue: Mutex<VecDeque<Trial>>,
     available: Condvar,
     shutdown: AtomicBool,
-    jobs: Mutex<BTreeMap<u64, Arc<Job>>>,
+    jobs: Mutex<JobTable>,
     next_job: AtomicU64,
     /// A clone of every live connection by connection number, shut down
     /// on server shutdown so blocked reads return EOF and blocked writes
@@ -270,7 +336,7 @@ impl Shared {
             queue: Mutex::new(VecDeque::new()),
             available: Condvar::new(),
             shutdown: AtomicBool::new(false),
-            jobs: Mutex::new(BTreeMap::new()),
+            jobs: Mutex::new(JobTable::default()),
             next_job: AtomicU64::new(1),
             conns: Mutex::new(BTreeMap::new()),
             next_conn: AtomicU64::new(0),
@@ -407,6 +473,9 @@ fn worker(shared: &Shared) {
             )));
         }
         if trial.job.remaining.fetch_sub(1, Ordering::SeqCst) == 1 {
+            // Retired before `done` goes out, so a client that has read a
+            // job's `done` finds the table as that job left it.
+            shared.jobs.lock().unwrap().retire(trial.job.id);
             trial.job.finish();
         }
     }
@@ -416,11 +485,143 @@ fn worker(shared: &Shared) {
 // Connection side
 // ---------------------------------------------------------------------
 
-/// The reader's end of its connection's outgoing queue, through which it
-/// queues responses and registers subscriptions; the writer thread
+/// How a connection's writer thread waits on its [`Outbox`].
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Wait {
+    /// Everything is flushed and nothing was in the last batch: any
+    /// queued line ends the wait.
+    Idle,
+    /// A batch was just flushed: only a control line, a connection
+    /// without senders, [`LINGER_LINES`] queued lines or the end of
+    /// [`LINGER`] ends the wait, so rounds queued meanwhile wake nobody.
+    Linger,
+}
+
+impl Wait {
+    /// Whether `state` ends this wait.
+    fn is_over(self, state: &OutboxState) -> bool {
+        state.senders == 0
+            || match self {
+                Wait::Idle => !state.lines.is_empty(),
+                Wait::Linger => state.urgent || state.lines.len() >= LINGER_LINES,
+            }
+    }
+}
+
+#[derive(Default)]
+struct OutboxState {
+    /// Lines in emission order, not yet taken by the writer.
+    lines: VecDeque<Line>,
+    /// Whether `lines` holds a line other than a round.
+    urgent: bool,
+    /// Live [`OutboxTx`] handles: the reader's and one per subscription.
+    senders: usize,
+    /// How the writer waits, while it does.
+    waiting: Option<Wait>,
+    /// The writer has ended; later lines are refused.
+    closed: bool,
+}
+
+/// A connection's outgoing queue, shared by everything that emits lines
+/// for the connection and the writer thread that sends them. A line
+/// wakes the writer only when it ends the writer's current wait, so a
+/// worker queues a job's rounds without a wake-up per round.
+#[derive(Default)]
+struct Outbox {
+    state: Mutex<OutboxState>,
+    wake: Condvar,
+}
+
+impl Outbox {
+    fn lock(&self) -> MutexGuard<'_, OutboxState> {
+        // Every update under this lock leaves the state valid at each
+        // step, so a poisoned lock is taken over rather than unwrapped:
+        // `Drop` for `OutboxTx` locks it too and must not panic.
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Wakes the writer if `state` ends its wait.
+    fn notify(&self, mut state: MutexGuard<'_, OutboxState>) {
+        if state.waiting.is_some_and(|wait| wait.is_over(&state)) {
+            state.waiting = None;
+            drop(state);
+            self.wake.notify_one();
+        }
+    }
+
+    /// Waits as `wait` says, for at most [`TICK`] or [`LINGER`], then
+    /// moves every queued line into `batch`. `false` once no sender is
+    /// left and nothing is queued: the connection is finished.
+    fn next_batch(&self, wait: Wait, batch: &mut VecDeque<Line>) -> bool {
+        let mut state = self.lock();
+        if !wait.is_over(&state) {
+            let timeout = match wait {
+                Wait::Idle => TICK,
+                Wait::Linger => LINGER,
+            };
+            state.waiting = Some(wait);
+            state = self
+                .wake
+                .wait_timeout(state, timeout)
+                .unwrap_or_else(PoisonError::into_inner)
+                .0;
+            state.waiting = None;
+        }
+        std::mem::swap(batch, &mut state.lines);
+        state.urgent = false;
+        !batch.is_empty() || state.senders > 0
+    }
+
+    /// The writer has ended: refuses later lines and drops queued ones.
+    fn close(&self) {
+        let mut state = self.lock();
+        state.closed = true;
+        state.lines.clear();
+    }
+}
+
+/// One handle for queueing lines on a connection's [`Outbox`]. The
+/// writer ends once every handle is dropped and the queue is empty.
+struct OutboxTx(Arc<Outbox>);
+
+impl OutboxTx {
+    fn new(outbox: &Arc<Outbox>) -> Self {
+        outbox.lock().senders += 1;
+        OutboxTx(Arc::clone(outbox))
+    }
+
+    /// Queues `line`; gives it back if the writer has ended.
+    fn send(&self, line: Line) -> Result<(), Line> {
+        let mut state = self.0.lock();
+        if state.closed {
+            return Err(line);
+        }
+        state.urgent |= !matches!(line, Line::Round(..));
+        state.lines.push_back(line);
+        self.0.notify(state);
+        Ok(())
+    }
+}
+
+impl Clone for OutboxTx {
+    fn clone(&self) -> Self {
+        OutboxTx::new(&self.0)
+    }
+}
+
+impl Drop for OutboxTx {
+    fn drop(&mut self) {
+        let mut state = self.0.lock();
+        state.senders -= 1;
+        self.0.notify(state);
+    }
+}
+
+/// The reader's handle on its connection's outgoing queue, through which
+/// it queues responses and registers subscriptions; the writer thread
 /// writes the queue to the socket.
 struct Outgoing {
-    tx: Sender<Line>,
+    tx: OutboxTx,
 }
 
 impl Outgoing {
@@ -431,51 +632,57 @@ impl Outgoing {
     }
 }
 
-/// Writes one line; `Ok(false)` at [`Line::Close`].
-fn write_line(out: &mut impl Write, line: Line) -> io::Result<bool> {
-    match line {
-        Line::Control(text) => out.write_all(text.as_bytes()).map(|()| true),
-        Line::Round(text, unwritten) => {
-            let written = out.write_all(text.as_bytes());
-            unwritten.fetch_sub(1, Ordering::SeqCst);
-            written.map(|()| true)
+/// Writes `batch` in order without flushing; `Ok(false)` at a
+/// [`Line::Close`], whose followers are dropped.
+fn write_batch(out: &mut impl Write, batch: &mut VecDeque<Line>) -> io::Result<bool> {
+    for line in batch.drain(..) {
+        match line {
+            Line::Control(text) => out.write_all(text.as_bytes())?,
+            Line::Round(text, unwritten) => {
+                let written = out.write_all(text.as_bytes());
+                unwritten.fetch_sub(1, Ordering::SeqCst);
+                written?;
+            }
+            Line::Close => return Ok(false),
         }
-        Line::Close => Ok(false),
     }
-}
-
-/// Writes `first` and everything queued behind it up to a
-/// [`Line::Close`], then flushes once. `Ok(false)` if it met the close.
-fn write_queued(out: &mut impl Write, first: Line, rx: &Receiver<Line>) -> io::Result<bool> {
-    let mut open = write_line(out, first)?;
-    while open {
-        let Ok(line) = rx.try_recv() else { break };
-        open = write_line(out, line)?;
-    }
-    out.flush()?;
-    Ok(open)
+    Ok(true)
 }
 
 /// Writes the connection's queue to the socket until the queue closes:
 /// the reader has ended and every job the connection subscribed to has
 /// sent its `done` (each sender is gone), the reader queued
 /// [`Line::Close`], a write failed, or the server shuts down.
-fn writer_loop(shared: &Shared, rx: Receiver<Line>, stream: TcpStream) {
+///
+/// Every batch is flushed once. After a flush the writer lingers: round
+/// lines queued within [`LINGER`] join the next batch instead of waking
+/// it, so a running job's rounds leave in about one write per
+/// millisecond, while a control line ends the linger at once.
+fn writer_loop(shared: &Shared, outbox: &Outbox, stream: TcpStream) {
     let mut out = BufWriter::new(stream);
+    let mut batch = VecDeque::new();
+    let mut wait = Wait::Idle;
     loop {
-        match rx.recv_timeout(TICK) {
-            Ok(first) => match write_queued(&mut out, first, &rx) {
-                Ok(true) => {}
-                Ok(false) => {
-                    let _ = out.get_ref().shutdown(Shutdown::Both);
-                    return;
-                }
-                Err(_) => return,
-            },
-            Err(RecvTimeoutError::Timeout) if !shared.is_shutdown() => {}
-            Err(_) => return,
+        let open = outbox.next_batch(wait, &mut batch);
+        let wrote = !batch.is_empty();
+        match write_batch(&mut out, &mut batch) {
+            Ok(true) => {}
+            Ok(false) => {
+                let _ = out.flush();
+                let _ = out.get_ref().shutdown(Shutdown::Both);
+                break;
+            }
+            Err(_) => break,
         }
+        if wrote && out.flush().is_err() {
+            break;
+        }
+        if !open || (!wrote && wait == Wait::Idle && shared.is_shutdown()) {
+            break;
+        }
+        wait = if wrote { Wait::Linger } else { Wait::Idle };
     }
+    outbox.close();
 }
 
 fn subscribe(job: &Arc<Job>, outgoing: &Outgoing, stream_rounds: bool) {
@@ -539,12 +746,18 @@ fn handle_submit(shared: &Shared, outgoing: &Outgoing, req: &Value) -> Result<()
     let job = Arc::new(Job {
         id,
         spec,
+        trials: seeds.len(),
         remaining: AtomicUsize::new(seeds.len()),
         subscribers: Mutex::new(Vec::new()),
         reports: Mutex::new(Vec::new()),
     });
     subscribe(&job, outgoing, stream_rounds);
-    shared.jobs.lock().unwrap().insert(id, Arc::clone(&job));
+    shared
+        .jobs
+        .lock()
+        .unwrap()
+        .by_id
+        .insert(id, Arc::clone(&job));
     // Queued before any trial is, so `accepted` precedes every round.
     outgoing.send(event_line(vec![
         ("event".into(), Value::str("accepted")),
@@ -564,6 +777,7 @@ fn handle_attach(shared: &Shared, outgoing: &Outgoing, req: &Value) -> Result<()
         .jobs
         .lock()
         .unwrap()
+        .by_id
         .get(&id)
         .cloned()
         .ok_or_else(|| format!("no such job {id}"))?;
@@ -572,10 +786,7 @@ fn handle_attach(shared: &Shared, outgoing: &Outgoing, req: &Value) -> Result<()
     outgoing.send(event_line(vec![
         ("event".into(), Value::str("accepted")),
         ("job".into(), Value::UInt(id)),
-        (
-            "trials".into(),
-            Value::UInt(job.remaining.load(Ordering::SeqCst) as u64),
-        ),
+        ("trials".into(), Value::UInt(job.trials as u64)),
     ]))?;
     subscribe(&job, outgoing, true);
     Ok(())
@@ -608,16 +819,21 @@ fn handle_request(shared: &Shared, outgoing: &Outgoing, line: &str) -> bool {
 }
 
 fn handle_connection(shared: &Shared, stream: TcpStream) {
+    // Set on the socket, so the clones below inherit it.
+    let _ = stream.set_nodelay(true);
     let (Ok(write_half), Ok(shutdown_handle)) = (stream.try_clone(), stream.try_clone()) else {
         return;
     };
     let conn = shared.next_conn.fetch_add(1, Ordering::SeqCst);
     shared.conns.lock().unwrap().insert(conn, shutdown_handle);
-    let (tx, rx) = std::sync::mpsc::channel();
+    let outbox = Arc::new(Outbox::default());
     thread::scope(|scope| {
-        scope.spawn(move || writer_loop(shared, rx, write_half));
-        // Owned by the reader, so its sender goes when the reader ends.
-        let outgoing = Outgoing { tx };
+        // Owned by the reader, so its sender goes when the reader ends;
+        // made before the writer starts, so the writer never sees none.
+        let outgoing = Outgoing {
+            tx: OutboxTx::new(&outbox),
+        };
+        scope.spawn(|| writer_loop(shared, &outbox, write_half));
         let mut reader = BufReader::new(stream);
         let mut line = Vec::new();
         loop {
@@ -758,13 +974,15 @@ pub struct Event {
 }
 
 impl Client {
-    /// Connects to a running server.
+    /// Connects to a running server, with `TCP_NODELAY` set so a request
+    /// line goes out as soon as it is written.
     ///
     /// # Errors
     ///
-    /// Propagates the connect failure.
+    /// Propagates the connect or socket-option failure.
     pub fn connect(addr: SocketAddr) -> io::Result<Self> {
         let stream = TcpStream::connect(addr)?;
+        stream.set_nodelay(true)?;
         let reader = BufReader::new(stream.try_clone()?);
         Ok(Client { reader, stream })
     }
@@ -804,15 +1022,13 @@ impl Client {
         self.send_line(&line)
     }
 
-    /// Sends one raw request line.
+    /// Sends one raw request line, its `\n` appended, in one write.
     ///
     /// # Errors
     ///
     /// Propagates the socket write failure.
     pub fn send_line(&mut self, line: &str) -> io::Result<()> {
-        self.stream.write_all(line.as_bytes())?;
-        self.stream.write_all(b"\n")?;
-        self.stream.flush()
+        self.stream.write_all(format!("{line}\n").as_bytes())
     }
 
     /// Blocks for the next event; `None` on a closed connection.
